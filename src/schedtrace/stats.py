@@ -56,6 +56,9 @@ def histogram(samples: Sequence, bins: int = 20) -> Histogram:
     A sample lands in bin floor((x - min) / width), with x == max counted in
     the last bin.  A degenerate range (min == max) collapses to a single
     one-microsecond bin holding every sample, whatever `bins` asked for.
+    The bin index is computed as (x - min) * bins // (max - min), which is
+    exact for the integer microsecond samples the reports pass; dividing by
+    a float width instead puts some samples that lie on an edge one bin low.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
@@ -66,16 +69,16 @@ def histogram(samples: Sequence, bins: int = 20) -> Histogram:
     hi = max(xs)
     if lo == hi:
         return Histogram([float(lo), float(lo + 1)], [len(xs)])
-    width = (hi - lo) / bins
+    span = hi - lo
     counts = [0] * bins
     last = bins - 1
     # a bin is a function of the sample value: place each distinct value once
     for x, ties in Counter(xs).items():
-        idx = int((x - lo) / width)
+        idx = int((x - lo) * bins // span)
         if idx > last:
             idx = last
         counts[idx] += ties
-    edges = [lo + (hi - lo) * i / bins for i in range(bins + 1)]
+    edges = [lo + span * i / bins for i in range(bins + 1)]
     return Histogram(edges, counts)
 
 

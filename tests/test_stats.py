@@ -41,6 +41,15 @@ def test_histogram_maximum_lands_in_last_bin():
     assert h.counts == [1, 0, 0, 0, 1]
 
 
+def test_histogram_sample_on_an_interior_edge_opens_the_bin_above():
+    # sample 9 lies exactly on edge 9.0, the lower edge of bin 7; a float
+    # width of 18/14 used to put it in bin 6
+    h = histogram(range(19), bins=14)
+    assert h.edges[7] == 9.0
+    assert h.counts[6:8] == [1, 2]
+    assert sum(h.counts) == 19
+
+
 def test_histogram_degenerate_samples():
     h = histogram([5, 5, 5], bins=4)
     assert h.edges == [5, 6]
