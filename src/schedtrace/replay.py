@@ -189,57 +189,12 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
 
 
 def validate_consistency(log: EventLog) -> list[ConsistencyViolation]:
-    """Report every violation a strict replay would hit, without building slices.
+    """Report every violation a strict replay would hit.
 
     Returns an empty list exactly when build_slices(log, strict=True) would
-    succeed; recovery between violations follows the lenient rules.
+    succeed; recovery between violations follows the lenient rules, because
+    these are the repairs of a lenient replay.
     """
-    events = log.events
-    violations: list[ConsistencyViolation] = []
-    if not events:
-        return violations
-    current = _initial_task(events)
-    stack: list[int] = []
-    for ev in events:
-        kind = type(ev)
-        if kind is TaskSchedule:
-            if ev.old != current:
-                violations.append(
-                    ConsistencyViolation(
-                        ev.at,
-                        ViolationKind.OLD_TASK_MISMATCH,
-                        f"switch claims old task {ev.old} but task {current} is current",
-                    )
-                )
-            current = ev.new
-        elif kind is IrqEnd:
-            if not stack:
-                violations.append(
-                    ConsistencyViolation(
-                        ev.at,
-                        ViolationKind.IRQ_END_WITHOUT_BEGIN,
-                        f"IRQ {ev.irq} ends but no handler is open",
-                    )
-                )
-            elif stack[-1] != ev.irq:
-                violations.append(
-                    ConsistencyViolation(
-                        ev.at,
-                        ViolationKind.IRQ_END_ID_MISMATCH,
-                        f"IRQ {ev.irq} ends but IRQ {stack[-1]} is innermost",
-                    )
-                )
-            else:
-                stack.pop()
-        else:
-            stack.append(ev.irq)
-    while stack:
-        irq_id = stack.pop()
-        violations.append(
-            ConsistencyViolation(
-                events[-1].at,
-                ViolationKind.IRQ_OPEN_AT_TRACE_END,
-                f"IRQ {irq_id} is still open at the end of the trace",
-            )
-        )
-    return violations
+    if not log.events:
+        return []
+    return build_slices(log, strict=False).diagnostics
