@@ -18,7 +18,7 @@ import sys
 from enum import Enum
 from typing import IO, Iterable, NamedTuple, Union
 
-from .errors import EmptyTraceError, ParseError
+from .errors import EmptyTraceError, ParseError, TimestampRangeError
 from .model import (
     EventLog,
     IrqBegin,
@@ -26,6 +26,7 @@ from .model import (
     TaskSchedule,
     TraceEvent,
     format_timestamp,
+    timestamp_from_fields,
 )
 
 
@@ -54,22 +55,22 @@ _EVENT_RE = re.compile(
 def _prefix_us(prefix: str) -> int | None:
     """Microseconds of the h/m/s/ms group of _EVENT_RE, or None if out of range."""
     hours, minutes, seconds, ms = prefix.split()
-    minutes = int(minutes[:-1])
-    seconds = int(seconds[:-1])
-    ms = int(ms)
-    if minutes >= 60 or seconds >= 60 or ms >= 1000:
+    try:
+        return timestamp_from_fields(
+            int(hours[:-1]), int(minutes[:-1]), int(seconds[:-1]), int(ms), 0
+        )
+    except TimestampRangeError:
         return None
-    return ((int(hours[:-1]) * 60 + minutes) * 60 + seconds) * 1_000_000 + ms * 1000
 
 
-# Used only to classify lines the event regex rejected.
+# Used only to classify lines the event regex or the range rule rejected.
 _BRACKET_RE = re.compile(r"<([^>]*)>[ \t]*(.*)$")
 _TS_FIELDS_RE = re.compile(r"(\d+)h[ \t]+(\d+)m[ \t]+(\d+)s[ \t]+(\d+)[ \t]+(\d+)$")
 _PAYLOAD_HEAD_RE = re.compile(r"(?:Task[ \t]+schedule:|IRQ[ \t]+(?:begin|end):)")
 
 
 def _diagnose(text: str) -> tuple[DiagnosticKind, str]:
-    """Classify a line that failed the event grammar."""
+    """Classify a line that is not a valid event."""
     m = _BRACKET_RE.match(text)
     if m is None:
         return DiagnosticKind.UNKNOWN_EVENT, f"unrecognized line: {text[:60]!r}"
@@ -79,8 +80,9 @@ def _diagnose(text: str) -> tuple[DiagnosticKind, str]:
             DiagnosticKind.MALFORMED_TIMESTAMP,
             f"malformed timestamp: {m.group(1)!r}",
         )
-    _, minutes, seconds, ms, us = (int(g) for g in fields.groups())
-    if minutes >= 60 or seconds >= 60 or ms >= 1000 or us >= 1000:
+    try:
+        timestamp_from_fields(*map(int, fields.groups()))
+    except TimestampRangeError:
         return (
             DiagnosticKind.MALFORMED_TIMESTAMP,
             f"timestamp field out of range: {m.group(1)!r}",
@@ -98,24 +100,12 @@ def parse_line(text: str) -> TraceEvent:
     event.
     """
     text = text.strip(" \t\r\n")
-    m = _EVENT_RE.fullmatch(text)
-    if m is None:
-        kind, message = _diagnose(text)
-        raise ParseError(kind, message)
-    prefix, us, old, new, begin, end = m.groups()
-    base = _prefix_us(prefix)
-    us = int(us)
-    if base is None or us >= 1000:
-        raise ParseError(
-            DiagnosticKind.MALFORMED_TIMESTAMP,
-            f"timestamp field out of range in {text[:40]!r}",
-        )
-    at = base + us
-    if old is not None:
-        return TaskSchedule(at, int(old), int(new))
-    if begin is not None:
-        return IrqBegin(at, int(begin))
-    return IrqEnd(at, int(end))
+    if not text:  # parse_trace would skip it
+        raise ParseError(*_diagnose(text))
+    try:
+        return parse_trace((text,)).events[0]
+    except ParseError as exc:
+        raise ParseError(exc.kind, exc.message) from None
 
 
 def _iter_lines(source: Union[str, bytes, IO, Iterable[str]]) -> Iterable[str]:
@@ -139,17 +129,15 @@ def parse_trace(source, strict: bool = True) -> EventLog:
     diagnostics: list[ParseDiagnostic] = []
     append = events.append
     match = _EVENT_RE.fullmatch
-    last_at = -1
+    last_at = 0
     prefix_key = None
     prefix_base = None
     for lineno, raw in enumerate(_iter_lines(source), 1):
         text = raw.strip(" \t\r\n")
         if not text:
             continue
-        # inlined happy path of parse_line; big traces make the extra call
-        # and second strip noticeable
+        at = -1  # stays negative when the grammar or the range rule rejects the line
         m = match(text)
-        ev = None
         if m is not None:
             prefix, us, old, new, begin, end = m.groups()
             if prefix != prefix_key:
@@ -158,34 +146,23 @@ def parse_trace(source, strict: bool = True) -> EventLog:
             us = int(us)
             if prefix_base is not None and us < 1000:
                 at = prefix_base + us
-                if old is not None:
-                    ev = TaskSchedule(at, int(old), int(new))
-                elif begin is not None:
-                    ev = IrqBegin(at, int(begin))
-                else:
-                    ev = IrqEnd(at, int(end))
-        if ev is None:
-            # reproduce the precise diagnostic for the bad line
-            try:
-                ev = parse_line(text)
-            except ParseError as exc:
-                if strict:
-                    raise ParseError(exc.kind, exc.message, line=lineno) from None
-                diagnostics.append(ParseDiagnostic(lineno, exc.kind, exc.message))
-                continue
-            at = ev.at
-        if at < last_at:
-            message = f"timestamp goes backwards ({at} us after {last_at} us)"
-            if strict:
-                raise ParseError(
-                    DiagnosticKind.NON_MONOTONIC_TIMESTAMP, message, line=lineno
-                )
-            diagnostics.append(
-                ParseDiagnostic(lineno, DiagnosticKind.NON_MONOTONIC_TIMESTAMP, message)
-            )
+        if at >= last_at:
+            last_at = at
+            if old is not None:
+                append(TaskSchedule(at, int(old), int(new)))
+            elif begin is not None:
+                append(IrqBegin(at, int(begin)))
+            else:
+                append(IrqEnd(at, int(end)))
             continue
-        last_at = at
-        append(ev)
+        if at < 0:
+            kind, message = _diagnose(text)
+        else:
+            kind = DiagnosticKind.NON_MONOTONIC_TIMESTAMP
+            message = f"timestamp goes backwards ({at} us after {last_at} us)"
+        if strict:
+            raise ParseError(kind, message, line=lineno)
+        diagnostics.append(ParseDiagnostic(lineno, kind, message))
     if not events:
         raise EmptyTraceError("trace contains no events")
     return EventLog(events, diagnostics)
