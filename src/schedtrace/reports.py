@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice, repeat
 from math import ceil
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .errors import EmptyWindowError
@@ -428,23 +428,6 @@ def _window_lines(window: Window) -> list[str]:
     ]
 
 
-def _entity_json(entity: Entity) -> dict:
-    return {"kind": entity.kind_name, "id": entity.id}
-
-
-def _entity_from_json(data: dict) -> Entity:
-    kind = EntityKind.TASK if data["kind"] == "task" else EntityKind.IRQ
-    return Entity(kind, data["id"])
-
-
-def _window_json(window: Window) -> dict:
-    return {"start_us": window.start, "end_us": window.end}
-
-
-def _window_from_json(data: dict) -> Window:
-    return Window(data["start_us"], data["end_us"])
-
-
 # ---------------------------------------------------------------------------
 # load report rendering
 
@@ -475,31 +458,6 @@ def _load_csv(report: LoadReport) -> str:
         )
     lines.append("")
     return "\n".join(lines)
-
-
-def _load_json(report: LoadReport) -> dict:
-    return {
-        "report": "load",
-        "units": {"time": "us", "utilization": "fraction"},
-        "window": _window_json(report.window),
-        "idle_fraction": report.idle_fraction,
-        "entities": [
-            {
-                **_entity_json(row.entity),
-                "net_us": row.net_us,
-                "utilization": row.utilization,
-            }
-            for row in report.rows
-        ],
-    }
-
-
-def _load_from_json(data: dict) -> LoadReport:
-    rows = [
-        LoadRow(_entity_from_json(item), item["net_us"], item["utilization"])
-        for item in data["entities"]
-    ]
-    return LoadReport(_window_from_json(data["window"]), rows, data["idle_fraction"])
 
 
 # ---------------------------------------------------------------------------
@@ -541,49 +499,6 @@ def _utilization_csv(report: UtilizationReport) -> str:
             )
     lines.append("")
     return "\n".join(lines)
-
-
-def _utilization_json(report: UtilizationReport) -> dict:
-    return {
-        "report": "utilization",
-        "units": {"time": "us", "utilization": "fraction"},
-        "window": _window_json(report.window),
-        "view": _window_json(report.view),
-        "slot_width_us": report.slot_width_us,
-        "slots": [
-            {
-                "start_us": slot.start_us,
-                "span_us": slot.span_us,
-                "partial": slot.partial,
-                "entities": [
-                    {**_entity_json(entity), "fraction": fraction}
-                    for entity, fraction in slot.fractions
-                ],
-            }
-            for slot in report.slots
-        ],
-    }
-
-
-def _utilization_from_json(data: dict) -> UtilizationReport:
-    slots = [
-        UtilizationSlot(
-            item["start_us"],
-            item["span_us"],
-            item["partial"],
-            [
-                (_entity_from_json(ent), ent["fraction"])
-                for ent in item["entities"]
-            ],
-        )
-        for item in data["slots"]
-    ]
-    return UtilizationReport(
-        _window_from_json(data["window"]),
-        _window_from_json(data["view"]),
-        data["slot_width_us"],
-        slots,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -673,106 +588,6 @@ def render_stats_histograms_csv(report: StatsReport) -> str:
     return "\n".join(lines)
 
 
-def _summary_json(s: SampleSummary) -> dict:
-    return {
-        "count": s.count,
-        "total_us": s.total,
-        "min_us": s.minimum,
-        "max_us": s.maximum,
-        "mean_us": s.mean,
-    }
-
-
-def _summary_from_json(data: dict) -> SampleSummary:
-    return SampleSummary(
-        data["count"], data["total_us"], data["min_us"], data["max_us"], data["mean_us"]
-    )
-
-
-def _series_json(series: SeriesStats) -> dict:
-    if series.exponential is None:
-        exponential = None
-    else:
-        exponential = {
-            "rate_per_us": series.exponential.rate_per_us,
-            "log_likelihood": series.exponential.log_likelihood,
-            "ks": series.exponential.ks,
-        }
-    return {
-        "summary": _summary_json(series.summary),
-        "histogram": {
-            "edges": series.histogram.edges,
-            "counts": series.histogram.counts,
-        },
-        "exponential": exponential,
-        "uniform": {
-            "lower_us": series.uniform.lower,
-            "upper_us": series.uniform.upper,
-            "ks": series.uniform.ks,
-        },
-        "notes": series.notes,
-    }
-
-
-def _series_from_json(data) -> SeriesStats | None:
-    if data is None:
-        return None
-    if data["exponential"] is None:
-        exponential = None
-    else:
-        exponential = ExponentialFit(
-            data["exponential"]["rate_per_us"],
-            data["exponential"]["log_likelihood"],
-            data["exponential"]["ks"],
-        )
-    return SeriesStats(
-        _summary_from_json(data["summary"]),
-        Histogram(data["histogram"]["edges"], data["histogram"]["counts"]),
-        exponential,
-        UniformFit(
-            data["uniform"]["lower_us"],
-            data["uniform"]["upper_us"],
-            data["uniform"]["ks"],
-        ),
-        data["notes"],
-    )
-
-
-def _stats_json(report: StatsReport) -> dict:
-    return {
-        "report": "stats",
-        "units": {"time": "us", "share": "fraction"},
-        "window": _window_json(report.window),
-        "bins": report.bins,
-        "entities": [
-            {
-                **_entity_json(row.entity),
-                "net_us": row.net_us,
-                "share": row.share,
-                "dispatches": row.dispatches,
-                "execution": _series_json(row.execution),
-                "period": None if row.period is None else _series_json(row.period),
-            }
-            for row in report.rows
-        ],
-    }
-
-
-def _stats_from_json(data: dict) -> StatsReport:
-    rows = [
-        EntityStats(
-            _entity_from_json(item),
-            item["net_us"],
-            item["share"],
-            item["dispatches"],
-            _series_from_json(item["execution"]),
-            _series_from_json(item["period"]),
-        )
-        for item in data["entities"]
-    ]
-    return StatsReport(_window_from_json(data["window"]), data["bins"], rows)
-
-
 # ---------------------------------------------------------------------------
 # timeline report rendering
 
@@ -825,39 +640,174 @@ def _timeline_csv(report: TimelineReport) -> str:
     return "\n".join(lines)
 
 
-def _timeline_json(report: TimelineReport) -> dict:
-    return {
-        "report": "timeline",
-        "units": {"time": "us"},
-        "window": _window_json(report.window),
-        "view": _window_json(report.view),
-        "entities": [
-            {
-                **_entity_json(ent.entity),
-                "segments": [
-                    {"state": seg.state, "start_us": seg.start_us, "end_us": seg.end_us}
-                    for seg in ent.segments
-                ],
-            }
-            for ent in report.entities
-        ],
-    }
+# ---------------------------------------------------------------------------
+# dispatch
 
 
-def _timeline_from_json(data: dict) -> TimelineReport:
-    entities = [
-        EntityTimeline(
-            _entity_from_json(item),
-            [
-                TimelineSegment(seg["state"], seg["start_us"], seg["end_us"])
-                for seg in item["segments"]
-            ],
-        )
-        for item in data["entities"]
-    ]
-    return TimelineReport(
-        _window_from_json(data["window"]), _window_from_json(data["view"]), entities
-    )
+# ---------------------------------------------------------------------------
+# json
+
+
+def _entity(kind: str, entity_id: int) -> Entity:
+    return Entity(EntityKind.TASK if kind == "task" else EntityKind.IRQ, entity_id)
+
+
+# The json schema.  Each value type maps to the function that rebuilds it
+# from its fields in table order, and to its fields in json key order.  A
+# field is (json key, attribute or tuple index, nested type); the nested
+# type is left out for a plain value, and a bare name stands for a plain
+# value whose key and attribute agree.  A nested type in a list stands for
+# a list of that type, and a None key merges the nested object's keys into
+# its parent's.  Missing optional values are null.
+_FRACTION = "entity fraction"  # the (entity, fraction) pairs of a slot
+_JSON_TABLE = {
+    Window: (Window, (("start_us", "start"), ("end_us", "end"))),
+    Entity: (_entity, (("kind", "kind_name"), "id")),
+    LoadRow: (LoadRow, ((None, "entity", Entity), "net_us", "utilization")),
+    LoadReport: (
+        lambda window, idle, rows: LoadReport(window, rows, idle),
+        (("window", "window", Window), "idle_fraction", ("entities", "rows", [LoadRow])),
+    ),
+    _FRACTION: (
+        lambda entity, fraction: (entity, fraction),
+        ((None, 0, Entity), ("fraction", 1)),
+    ),
+    UtilizationSlot: (
+        UtilizationSlot,
+        ("start_us", "span_us", "partial", ("entities", "fractions", [_FRACTION])),
+    ),
+    UtilizationReport: (
+        UtilizationReport,
+        (
+            ("window", "window", Window),
+            ("view", "view", Window),
+            "slot_width_us",
+            ("slots", "slots", [UtilizationSlot]),
+        ),
+    ),
+    SampleSummary: (
+        SampleSummary,
+        (
+            "count",
+            ("total_us", "total"),
+            ("min_us", "minimum"),
+            ("max_us", "maximum"),
+            ("mean_us", "mean"),
+        ),
+    ),
+    Histogram: (Histogram, ("edges", "counts")),
+    ExponentialFit: (ExponentialFit, ("rate_per_us", "log_likelihood", "ks")),
+    UniformFit: (UniformFit, (("lower_us", "lower"), ("upper_us", "upper"), "ks")),
+    SeriesStats: (
+        SeriesStats,
+        (
+            ("summary", "summary", SampleSummary),
+            ("histogram", "histogram", Histogram),
+            ("exponential", "exponential", ExponentialFit),
+            ("uniform", "uniform", UniformFit),
+            "notes",
+        ),
+    ),
+    EntityStats: (
+        EntityStats,
+        (
+            (None, "entity", Entity),
+            "net_us",
+            "share",
+            "dispatches",
+            ("execution", "execution", SeriesStats),
+            ("period", "period", SeriesStats),
+        ),
+    ),
+    StatsReport: (
+        StatsReport,
+        (("window", "window", Window), "bins", ("entities", "rows", [EntityStats])),
+    ),
+    TimelineSegment: (TimelineSegment, ("state", "start_us", "end_us")),
+    EntityTimeline: (
+        EntityTimeline,
+        ((None, "entity", Entity), ("segments", "segments", [TimelineSegment])),
+    ),
+    TimelineReport: (
+        TimelineReport,
+        (
+            ("window", "window", Window),
+            ("view", "view", Window),
+            ("entities", "entities", [EntityTimeline]),
+        ),
+    ),
+}
+
+# Each report's json opens with its name and its units.
+_JSON_REPORTS = {
+    LoadReport: ("load", {"time": "us", "utilization": "fraction"}),
+    UtilizationReport: ("utilization", {"time": "us", "utilization": "fraction"}),
+    StatsReport: ("stats", {"time": "us", "share": "fraction"}),
+    TimelineReport: ("timeline", {"time": "us"}),
+}
+
+
+def _json_fields(cls):
+    """(key, getter, nested type, is list) per field of a table entry."""
+    fields = []
+    for field in _JSON_TABLE[cls][1]:
+        if isinstance(field, str):
+            field = (field, field)
+        key, attr, nested = field if len(field) == 3 else (*field, None)
+        getter = attrgetter(attr) if isinstance(attr, str) else itemgetter(attr)
+        many = isinstance(nested, list)
+        fields.append((key, getter, nested[0] if many else nested, many))
+    return fields
+
+
+_JSON_FIELDS = {cls: _json_fields(cls) for cls in _JSON_TABLE}
+# Keys of the tuple types whose json fields are their own, in order: a list
+# of them, such as a timeline's hundreds of thousands of segments, is dumped
+# with zip, which takes about half the time of the field loop.
+_JSON_TUPLE_KEYS = {
+    cls: fields for cls, (_, fields) in _JSON_TABLE.items()
+    if fields == getattr(cls, "_fields", None)
+}
+
+
+def _dump(value, cls, many=False):
+    if value is None:
+        return None
+    if many:
+        keys = _JSON_TUPLE_KEYS.get(cls)
+        if keys is not None:
+            return [dict(zip(keys, item)) for item in value]
+        return [_dump(item, cls) for item in value]
+    out = {}
+    for key, get, nested, nested_many in _JSON_FIELDS[cls]:
+        field = get(value)
+        if nested is not None:
+            field = _dump(field, nested, nested_many)
+        if key is None:
+            out.update(field)
+        else:
+            out[key] = field
+    return out
+
+
+def _load(data, cls, many=False):
+    if data is None:
+        return None
+    if many:
+        return [_load(item, cls) for item in data]
+    values = []
+    for key, _, nested, nested_many in _JSON_FIELDS[cls]:
+        field = data if key is None else data[key]
+        if nested is not None:
+            field = _load(field, nested, nested_many)
+        values.append(field)
+    return _JSON_TABLE[cls][0](*values)
+
+
+def _json(report: Report) -> str:
+    name, units = _JSON_REPORTS[type(report)]
+    doc = {"report": name, "units": units, **_dump(report, type(report))}
+    return json.dumps(doc, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -865,18 +815,10 @@ def _timeline_from_json(data: dict) -> TimelineReport:
 
 
 _RENDERERS = {
-    LoadReport: {TEXT: _load_text, CSV: _load_csv, JSON: _load_json},
-    UtilizationReport: {
-        TEXT: _utilization_text,
-        CSV: _utilization_csv,
-        JSON: _utilization_json,
-    },
-    StatsReport: {TEXT: _stats_text, CSV: _stats_csv, JSON: _stats_json},
-    TimelineReport: {
-        TEXT: _timeline_text,
-        CSV: _timeline_csv,
-        JSON: _timeline_json,
-    },
+    LoadReport: {TEXT: _load_text, CSV: _load_csv, JSON: _json},
+    UtilizationReport: {TEXT: _utilization_text, CSV: _utilization_csv, JSON: _json},
+    StatsReport: {TEXT: _stats_text, CSV: _stats_csv, JSON: _json},
+    TimelineReport: {TEXT: _timeline_text, CSV: _timeline_csv, JSON: _json},
 }
 
 
@@ -886,22 +828,14 @@ def render(report: Report, fmt: str = TEXT) -> str:
         renderer = _RENDERERS[type(report)][fmt]
     except KeyError:
         raise ValueError(f"cannot render {type(report).__name__} as {fmt!r}") from None
-    rendered = renderer(report)
-    if fmt == JSON:
-        return json.dumps(rendered, indent=2) + "\n"
-    return rendered
+    return renderer(report)
 
 
-_FROM_JSON = {
-    "load": _load_from_json,
-    "utilization": _utilization_from_json,
-    "stats": _stats_from_json,
-    "timeline": _timeline_from_json,
-}
+_FROM_JSON = {name: cls for cls, (name, _) in _JSON_REPORTS.items()}
 
 
 def report_from_json(data) -> Report:
     """Rebuild a report value from rendered json (text or parsed dict)."""
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
-    return _FROM_JSON[data["report"]](data)
+    return _load(data, _FROM_JSON[data["report"]])
