@@ -110,7 +110,9 @@ def parse_line(text: str) -> TraceEvent:
 
 def _iter_lines(source: Union[str, bytes, IO, Iterable[str]]) -> Iterable[str]:
     if isinstance(source, bytes):
-        return source.decode("utf-8-sig").splitlines()
+        # an undecodable byte becomes a lone surrogate, which no event
+        # matches, so its line is diagnosed like any other bad line
+        return source.decode("utf-8-sig", "surrogateescape").splitlines()
     if isinstance(source, str):
         return source.splitlines()
     return source

@@ -131,6 +131,21 @@ def test_analyze_lenient_recovers_from_dirty_lines(tmp_path, capsys):
     assert run(["analyze", str(p), "--report", "load", "--lenient"]) == 0
 
 
+def test_analyze_non_utf8_byte_is_a_bad_line_not_a_traceback(tmp_path, capsys):
+    p = tmp_path / "bytes.txt"
+    p.write_bytes(
+        b"<0000h 00m 00s 005 000> Task schedule: old 0 new 2\n"
+        b"\xff\n"
+        b"<0000h 00m 00s 005 400> Task schedule: old 2 new 0\n"
+    )
+    assert run(["analyze", str(p), "--report", "load"]) == 1
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+    assert run(["analyze", str(p), "--report", "load", "--lenient"]) == 0
+    captured = capsys.readouterr()
+    assert "task 2" in captured.out
+    assert "Traceback" not in captured.err
+
+
 def test_analyze_inconsistent_trace_exit_codes(tmp_path, capsys):
     p = tmp_path / "incons.txt"
     p.write_text(

@@ -128,6 +128,37 @@ def test_parse_trace_accepts_bytes_with_bom():
     assert log.events == [IrqBegin(1, 3)]
 
 
+_NON_UTF8 = (
+    b"<0000h 00m 00s 005 000> Task schedule: old 0 new 2\n"
+    b"\xff\n"
+    b"<0000h 00m 00s 005 400> Task \xffschedule: old 2 new 0\n"
+    b"<0000h 00m 00s 005 500> Task schedule: old 2 new 0\n"
+)
+
+
+def test_parse_trace_strict_names_the_non_utf8_line():
+    with pytest.raises(ParseError) as exc:
+        parse_trace(_NON_UTF8)
+    assert exc.value.line == 2
+    assert exc.value.kind == DiagnosticKind.UNKNOWN_EVENT
+
+
+def test_parse_trace_lenient_drops_non_utf8_lines():
+    log = parse_trace(_NON_UTF8, strict=False)
+    assert log.events == [TaskSchedule(5_000, 0, 2), TaskSchedule(5_500, 2, 0)]
+    assert [(d.line, d.kind) for d in log.diagnostics] == [
+        (2, DiagnosticKind.UNKNOWN_EVENT),
+        (3, DiagnosticKind.UNKNOWN_EVENT),
+    ]
+
+
+def test_parse_trace_decodes_valid_utf8_as_before():
+    raw = "<0000h 00m 00s 000 001> IRQ begin: 3\nnoté\n".encode()
+    log = parse_trace(raw, strict=False)
+    assert log.events == [IrqBegin(1, 3)]
+    assert "noté" in log.diagnostics[0].message
+
+
 def test_parse_trace_accepts_iterable_of_lines():
     log = parse_trace(iter(SHORT_TRACE.splitlines()))
     assert len(log.events) == 10
