@@ -153,6 +153,13 @@ def _view(cfg: RunConfig, sliceset):
     )
 
 
+def _warn(diagnostics, violations=()):
+    """Warn on stderr of each dropped line and each repaired event."""
+    lines = [f"warning: line {d.line}: {d.kind.value}: {d.message}\n" for d in diagnostics]
+    lines += [f"warning: at {v.at} us: {v.kind.value}: {v.detail}\n" for v in violations]
+    sys.stderr.write("".join(lines))
+
+
 def _cmd_analyze(ns) -> int:
     reports = list(dict.fromkeys(ns.reports or ()))
     if not reports:
@@ -180,6 +187,7 @@ def _cmd_analyze(ns) -> int:
     for path in ns.traces:
         log = parse_trace_file(path, strict=cfg.strict)
         sliceset = build_slices(log, strict=cfg.strict)
+        _warn(log.diagnostics, sliceset.diagnostics)
         del log  # the reports can reuse the event log's memory
         for name in cfg.reports:
             report = _compute(name, sliceset, cfg)
@@ -225,12 +233,7 @@ def _cmd_generate(ns) -> int:
 
 def _cmd_validate(ns) -> int:
     log = parse_trace_file(ns.trace, strict=not ns.lenient)
-    for diagnostic in log.diagnostics:
-        print(
-            f"warning: line {diagnostic.line}: {diagnostic.kind.value}:"
-            f" {diagnostic.message}",
-            file=sys.stderr,
-        )
+    _warn(log.diagnostics)
     violations = validate_consistency(log)
     for violation in violations:
         print(f"at {violation.at} us: {violation.kind.value}: {violation.detail}")

@@ -129,6 +129,9 @@ def test_analyze_lenient_recovers_from_dirty_lines(tmp_path, capsys):
     assert run(["analyze", str(p), "--report", "load"]) == 1
     capsys.readouterr()
     assert run(["analyze", str(p), "--report", "load", "--lenient"]) == 0
+    captured = capsys.readouterr()
+    assert "warning: line 11: unknown_event: " in captured.err
+    assert captured.out == render(average_load(_slices()), "text")
 
 
 def test_analyze_non_utf8_byte_is_a_bad_line_not_a_traceback(tmp_path, capsys):
@@ -143,6 +146,7 @@ def test_analyze_non_utf8_byte_is_a_bad_line_not_a_traceback(tmp_path, capsys):
     assert run(["analyze", str(p), "--report", "load", "--lenient"]) == 0
     captured = capsys.readouterr()
     assert "task 2" in captured.out
+    assert captured.err.startswith("warning: line 2: unknown_event: ")
     assert "Traceback" not in captured.err
 
 
@@ -155,6 +159,10 @@ def test_analyze_inconsistent_trace_exit_codes(tmp_path, capsys):
     assert run(["analyze", str(p), "--report", "load"]) == 2
     capsys.readouterr()
     assert run(["analyze", str(p), "--report", "load", "--lenient"]) == 0
+    assert capsys.readouterr().err == (
+        "warning: at 20 us: old_task_mismatch:"
+        " switch claims old task 5 but task 1 is current\n"
+    )
 
 
 def test_analyze_reads_stdin(monkeypatch, capsys):
