@@ -154,16 +154,20 @@ def test_stats_period_series_needs_two_schedule_ins(short_slices):
             assert row.period is None
 
 
+# Task 2 is dispatched once and preempted for its whole run, so its one
+# execution sample is 0 and its exponential fit is skipped.
+ZERO_NET_TRACE = (
+    "<0000h 00m 00s 000 000> Task schedule: old 0 new 1\n"
+    "<0000h 00m 00s 000 010> Task schedule: old 1 new 2\n"
+    "<0000h 00m 00s 000 010> IRQ begin: 5\n"
+    "<0000h 00m 00s 000 030> IRQ end: 5\n"
+    "<0000h 00m 00s 000 030> Task schedule: old 2 new 1\n"
+    "<0000h 00m 00s 000 040> Task schedule: old 1 new 0\n"
+)
+
+
 def test_stats_zero_net_dispatch_noted_and_excluded_from_fit():
-    log = parse_trace(
-        "<0000h 00m 00s 000 000> Task schedule: old 0 new 1\n"
-        "<0000h 00m 00s 000 010> Task schedule: old 1 new 2\n"
-        "<0000h 00m 00s 000 010> IRQ begin: 5\n"
-        "<0000h 00m 00s 000 030> IRQ end: 5\n"
-        "<0000h 00m 00s 000 030> Task schedule: old 2 new 1\n"
-        "<0000h 00m 00s 000 040> Task schedule: old 1 new 0\n"
-    )
-    rep = task_statistics(build_slices(log))
+    rep = task_statistics(build_slices(parse_trace(ZERO_NET_TRACE)))
     row = {r.entity: r for r in rep.rows}[Entity.task(2)]
     assert row.net_us == 0
     assert row.execution.summary.count == 1
@@ -370,6 +374,17 @@ def test_json_round_trip_random_scenario(maker):
     s = build_slices(parse_trace(text))
     rep = maker(s)
     assert report_from_json(json.loads(render(rep, "json"))) == rep
+
+
+@pytest.mark.parametrize("maker", [average_load, utilization, task_statistics, timeline])
+def test_json_round_trip_zero_net_dispatch(maker):
+    rep = maker(build_slices(parse_trace(ZERO_NET_TRACE)))
+    rendered = render(rep, "json")
+    if maker is task_statistics:
+        # the optional sections left empty round-trip through null
+        assert '"exponential": null' in rendered
+        assert '"period": null' in rendered
+    assert report_from_json(rendered) == rep
 
 
 def test_json_declares_units(short_slices):
