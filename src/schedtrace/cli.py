@@ -10,9 +10,8 @@ import argparse
 import gc
 import os
 import sys
-from dataclasses import dataclass
 
-from .errors import ConsistencyError, ScriptError, TraceError
+from .errors import ConsistencyError, TraceError
 from .model import Window
 from .replay import build_slices, validate_consistency
 from .reports import (
@@ -45,19 +44,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); we map usage errors to 3
         raise _UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    """Options shared by one analyze invocation."""
-
-    reports: list[str]
-    slot_width_us: int
-    zoom: tuple[int | None, int | None]
-    bins: int
-    strict: bool
-    fmt: str
-    output_dir: str | None
 
 
 def _build_parser() -> _Parser:
@@ -133,18 +119,18 @@ def _write(directory: str, name: str, content: str):
         handle.write(content.encode("utf-8"))
 
 
-def _compute(name: str, sliceset, cfg: RunConfig):
+def _compute(name: str, sliceset, ns):
     if name == "load":
         return average_load(sliceset)
     if name == "utilization":
-        return utilization(sliceset, cfg.slot_width_us, _view(cfg, sliceset))
+        return utilization(sliceset, ns.slot_width_us, _view(ns, sliceset))
     if name == "stats":
-        return task_statistics(sliceset, cfg.bins)
-    return timeline(sliceset, _view(cfg, sliceset))
+        return task_statistics(sliceset, ns.bins)
+    return timeline(sliceset, _view(ns, sliceset))
 
 
-def _view(cfg: RunConfig, sliceset):
-    lo, hi = cfg.zoom
+def _view(ns, sliceset):
+    lo, hi = ns.from_us, ns.to_us
     if lo is None and hi is None:
         return None
     return Window(
@@ -173,31 +159,22 @@ def _cmd_analyze(ns) -> int:
         raise _UsageError("--from-us must be smaller than --to-us")
     if len(ns.traces) > 1 and not ns.output_dir:
         raise _UsageError("multiple traces need an output directory (-o)")
-    cfg = RunConfig(
-        reports=reports,
-        slot_width_us=ns.slot_width_us,
-        zoom=(ns.from_us, ns.to_us),
-        bins=ns.bins,
-        strict=not ns.lenient,
-        fmt=ns.format,
-        output_dir=ns.output_dir,
-    )
     multi = len(ns.traces) > 1
     first_doc = True
     for path in ns.traces:
-        log = parse_trace_file(path, strict=cfg.strict)
-        sliceset = build_slices(log, strict=cfg.strict)
+        log = parse_trace_file(path, strict=not ns.lenient)
+        sliceset = build_slices(log, strict=not ns.lenient)
         _warn(log.diagnostics, sliceset.diagnostics)
         del log  # the reports can reuse the event log's memory
-        for name in cfg.reports:
-            report = _compute(name, sliceset, cfg)
-            rendered = render(report, cfg.fmt)
-            if cfg.output_dir:
-                directory = cfg.output_dir
+        for name in reports:
+            report = _compute(name, sliceset, ns)
+            rendered = render(report, ns.format)
+            if ns.output_dir:
+                directory = ns.output_dir
                 if multi:
                     directory = os.path.join(directory, _stem(path))
-                _write(directory, f"{name}.{_EXTENSIONS[cfg.fmt]}", rendered)
-                if name == "stats" and cfg.fmt == CSV:
+                _write(directory, f"{name}.{_EXTENSIONS[ns.format]}", rendered)
+                if name == "stats" and ns.format == CSV:
                     _write(
                         directory,
                         "stats_histograms.csv",
@@ -269,13 +246,7 @@ def run(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
-    except ScriptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRACE_ERROR
-    except TraceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRACE_ERROR
-    except OSError as exc:
+    except (TraceError, OSError) as exc:  # script errors are trace errors too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRACE_ERROR
     finally:

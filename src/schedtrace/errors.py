@@ -9,11 +9,10 @@ class TimestampRangeError(TraceError):
     """A timestamp or timestamp field lies outside the trace format's range."""
 
 
-class ParseError(TraceError):
-    """A trace line (or a whole file, in strict mode) could not be parsed."""
+class _LineError(TraceError):
+    """An error that names the input line it was found on, when known."""
 
-    def __init__(self, kind, message, line=None):
-        self.kind = kind
+    def __init__(self, message, line=None):
         self.message = message
         self.line = line
         super().__init__(message)
@@ -22,6 +21,14 @@ class ParseError(TraceError):
         if self.line is not None:
             return f"line {self.line}: {self.message}"
         return self.message
+
+
+class ParseError(_LineError):
+    """A trace line (or a whole file, in strict mode) could not be parsed."""
+
+    def __init__(self, kind, message, line=None):
+        self.kind = kind
+        super().__init__(message, line)
 
 
 class EmptyTraceError(TraceError):
@@ -50,15 +57,5 @@ class SampleDomainError(TraceError):
     """Samples violate the domain of the requested distribution fit."""
 
 
-class ScriptError(TraceError):
+class ScriptError(_LineError):
     """A scenario script is malformed or violates scenario invariants."""
-
-    def __init__(self, message, line=None):
-        self.message = message
-        self.line = line
-        super().__init__(message)
-
-    def __str__(self):
-        if self.line is not None:
-            return f"line {self.line}: {self.message}"
-        return self.message

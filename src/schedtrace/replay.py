@@ -66,6 +66,12 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
     current = _initial_task(events)
     violations: list[ConsistencyViolation] = []
 
+    def violation(at, kind, detail):
+        found = ConsistencyViolation(at, kind, detail)
+        if strict:
+            raise ConsistencyError(found)
+        violations.append(found)
+
     slices: list[ExecutionSlice] = []
     task_runs: dict[int, list[Run]] = {}
     irq_runs: dict[int, list[Run]] = {}
@@ -107,14 +113,11 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
         kind = type(ev)
         if kind is TaskSchedule:
             if ev.old != current:
-                violation = ConsistencyViolation(
+                violation(
                     at,
                     ViolationKind.OLD_TASK_MISMATCH,
                     f"switch claims old task {ev.old} but task {current} is current",
                 )
-                if strict:
-                    raise ConsistencyError(violation)
-                violations.append(violation)
             if at > run_start:
                 runs = task_runs.get(current)
                 if runs is None:
@@ -133,23 +136,17 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
             ins.append(at)
         elif kind is IrqEnd:
             if not stack:
-                violation = ConsistencyViolation(
+                violation(
                     at,
                     ViolationKind.IRQ_END_WITHOUT_BEGIN,
                     f"IRQ {ev.irq} ends but no handler is open",
                 )
-                if strict:
-                    raise ConsistencyError(violation)
-                violations.append(violation)
             elif stack[-1][0] != ev.irq:
-                violation = ConsistencyViolation(
+                violation(
                     at,
                     ViolationKind.IRQ_END_ID_MISMATCH,
                     f"IRQ {ev.irq} ends but IRQ {stack[-1][0]} is innermost",
                 )
-                if strict:
-                    raise ConsistencyError(violation)
-                violations.append(violation)
             else:
                 irq_id, begin, net, _ = stack.pop()
                 if at > begin:
@@ -170,14 +167,11 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
         )
     while stack:
         irq_id, begin, net, _ = stack.pop()
-        violation = ConsistencyViolation(
+        violation(
             window.end,
             ViolationKind.IRQ_OPEN_AT_TRACE_END,
             f"IRQ {irq_id} is still open at the end of the trace",
         )
-        if strict:
-            raise ConsistencyError(violation)
-        violations.append(violation)
         if window.end > begin:
             irq_runs.setdefault(irq_id, []).append(
                 tuple_new(Run, (begin, window.end, net))
