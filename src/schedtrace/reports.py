@@ -763,7 +763,7 @@ def _json_fields(cls):
 _JSON_FIELDS = {cls: _json_fields(cls) for cls in _JSON_TABLE}
 # Keys of the tuple types whose json fields are their own, in order: a list
 # of them, such as a timeline's hundreds of thousands of segments, is dumped
-# with zip, which takes about half the time of the field loop.
+# with zip, in about two thirds of the field loop's time.
 _JSON_TUPLE_KEYS = {
     cls: fields for cls, (_, fields) in _JSON_TABLE.items()
     if fields == getattr(cls, "_fields", None)

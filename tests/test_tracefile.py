@@ -62,6 +62,17 @@ def test_parse_line_diagnoses_bad_lines(text, kind):
     assert exc.value.kind == kind
 
 
+def test_out_of_range_field_gets_the_same_message_from_both_readers():
+    line = "<0000h 00m 00s 000 1000> IRQ begin: 1"
+    message = "timestamp field out of range: '0000h 00m 00s 000 1000'"
+    with pytest.raises(ParseError) as exc:
+        parse_line(line)
+    assert exc.value.message == message
+    assert parse_trace(line + "\n" + SHORT_TRACE, strict=False).diagnostics[0] == (
+        1, DiagnosticKind.MALFORMED_TIMESTAMP, message
+    )
+
+
 def test_parse_trace_strict_reports_line_number():
     text = SHORT_TRACE + "garbage\n"
     with pytest.raises(ParseError) as exc:
