@@ -139,10 +139,11 @@ def _view(ns, sliceset):
     )
 
 
-def _warn(diagnostics, violations=()):
-    """Warn on stderr of each dropped line and each repaired event."""
-    lines = [f"warning: line {d.line}: {d.kind.value}: {d.message}\n" for d in diagnostics]
-    lines += [f"warning: at {v.at} us: {v.kind.value}: {v.detail}\n" for v in violations]
+def _warn(diagnostics, violations=(), trace=None):
+    """Warn on stderr of each dropped line and each repaired event of `trace`."""
+    head = "warning: " if trace is None else f"warning: {trace}: "
+    lines = [f"{head}line {d.line}: {d.kind.value}: {d.message}\n" for d in diagnostics]
+    lines += [f"{head}at {v.at} us: {v.kind.value}: {v.detail}\n" for v in violations]
     sys.stderr.write("".join(lines))
 
 
@@ -164,7 +165,7 @@ def _cmd_analyze(ns) -> int:
     for path in ns.traces:
         log = parse_trace_file(path, strict=not ns.lenient)
         sliceset = build_slices(log, strict=not ns.lenient)
-        _warn(log.diagnostics, sliceset.diagnostics)
+        _warn(log.diagnostics, sliceset.diagnostics, path if multi else None)
         del log  # the reports can reuse the event log's memory
         for name in reports:
             report = _compute(name, sliceset, ns)
@@ -190,11 +191,13 @@ def _cmd_analyze(ns) -> int:
 
 def _cmd_generate(ns) -> int:
     if ns.script == "-":
-        text = sys.stdin.buffer.read().decode("utf-8")
+        data = sys.stdin.buffer.read()
     else:
         with open(ns.script, "rb") as handle:
-            text = handle.read().decode("utf-8")
-    scenario = parse_script(text)
+            data = handle.read()
+    # decoded as traces are: a bad byte becomes a lone surrogate, which no
+    # directive matches, so its line gets a ScriptError
+    scenario = parse_script(data.decode("utf-8-sig", "surrogateescape"))
     if ns.start_us:
         scenario = Scenario(ns.start_us, scenario.runs)
     trace_text, manifest = generate_trace(

@@ -13,8 +13,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice, repeat
-from math import ceil
+from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -151,9 +150,7 @@ def _clip_view(view, window: Window) -> Window:
 
 def average_load(s: SliceSet) -> LoadReport:
     """Net time and fraction of the window per entity; idle is task 0's share."""
-    duration = s.window.duration_us
-    if duration <= 0:
-        raise EmptyWindowError("analysis window has zero length")
+    duration = _clip_view(None, s.window).duration_us
     nets = s.net_times()
     rows = [
         LoadRow(entity, net, net / duration)
@@ -178,43 +175,33 @@ def utilization(
     clipped = _clip_view(view, s.window)
     view_start, view_end = clipped
     width = slot_width_us
-    n_slots = ceil(clipped.duration_us / width)
-    charged: list[dict[Entity, int]] = [{} for _ in range(n_slots)]
+    slots: list[UtilizationSlot] = []
+    acc: dict[Entity, int] = {}  # the open slot's charge per entity
+    slot_start = view_start
+    slot_end = min(view_start + width, view_end)
     slices = s.slices
     first = bisect_right(slices, view_start, key=itemgetter(2))
-    # Slices are time ordered, so one that ends inside the current slot
-    # (`acc`, ending at slot_end) is charged there without a slot lookup;
-    # the first slice and slices crossing a slot edge take the slow path.
-    acc = charged[0]
-    slot_end = view_start
-    for entity, a, b in islice(slices, first, None):
-        if b <= slot_end:
+    entity, a, b = slices[first]
+    head = (entity, max(a, view_start), b)  # it may start before the view
+    # Slices tile the window in time order.  One walk charges each into the
+    # open slot; a slice reaching the slot's end closes that slot and each
+    # later slot it covers whole.  The walk ends when the last slot closes.
+    for entity, a, b in chain((head,), islice(slices, first + 1, None)):
+        if b < slot_end:
             acc[entity] = acc.get(entity, 0) + (b - a)
             continue
-        if a >= view_end:
-            break
-        if a < view_start:
-            a = view_start
-        if b > view_end:
-            b = view_end
-        while a < b:
-            idx = (a - view_start) // width
-            slot_end = view_start + (idx + 1) * width
-            if slot_end > view_end:
-                slot_end = view_end
-            acc = charged[idx]
-            take = b if b < slot_end else slot_end
-            acc[entity] = acc.get(entity, 0) + (take - a)
-            a = take
-    slots = []
-    for idx in range(n_slots):
-        start = view_start + idx * width
-        span = min(width, view_end - start)
-        fractions = [
-            (entity, us / span) for entity, us in sorted(charged[idx].items())
-        ]
-        slots.append(UtilizationSlot(start, span, span < width, fractions))
-    return UtilizationReport(s.window, clipped, width, slots)
+        while b >= slot_end:
+            acc[entity] = acc.get(entity, 0) + (slot_end - a)
+            span = slot_end - slot_start
+            fractions = [(e, us / span) for e, us in sorted(acc.items())]
+            slots.append(UtilizationSlot(slot_start, span, span < width, fractions))
+            if slot_end == view_end:
+                return UtilizationReport(s.window, clipped, width, slots)
+            acc.clear()
+            a = slot_start = slot_end
+            slot_end = min(slot_end + width, view_end)
+        if a < b:
+            acc[entity] = b - a
 
 
 def _series(samples: list[int], bins: int) -> SeriesStats:
@@ -239,9 +226,7 @@ def task_statistics(s: SliceSet, bins: int = 20) -> StatsReport:
     are the deltas between successive schedule-ins of a task; a task seen
     scheduled in fewer than twice has no period section.
     """
-    duration = s.window.duration_us
-    if duration <= 0:
-        raise EmptyWindowError("analysis window has zero length")
+    duration = _clip_view(None, s.window).duration_us
     rows = []
     for entity in s.entities():
         if entity.kind is EntityKind.TASK:
@@ -421,21 +406,32 @@ def _span_text(us: int) -> str:
     return f"{human} ({us} us)"
 
 
-def _window_lines(window: Window) -> list[str]:
+def _head(title: str, window: Window, *extra: str) -> list[str]:
+    """A text report's title and window block, then its own extra lines."""
     return [
+        title,
         f"  window  {format_timestamp(window.start)} .. {format_timestamp(window.end)}",
         f"  span    {_span_text(window.duration_us)}",
+        *extra,
     ]
+
+
+def _bins(h: Histogram):
+    """(lower edge, upper edge, count) per histogram bin."""
+    return zip(h.edges, h.edges[1:], h.counts)
+
+
+def _join(lines: list[str]) -> str:
+    lines.append("")  # every rendered document ends with a newline
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # load report rendering
 
 
-def _load_text(report: LoadReport) -> str:
-    lines = ["Average processor load"]
-    lines += _window_lines(report.window)
-    lines.append("")
+def _load_text(report: LoadReport) -> list[str]:
+    lines = _head("Average processor load", report.window, "")
     rows = [
         [row.entity.label, f"{row.net_us} us", _frac(row.utilization)]
         for row in report.rows
@@ -446,59 +442,49 @@ def _load_text(report: LoadReport) -> str:
     lines += _table(["entity", "net time", "utilization"], rows, "lrr")
     lines.append("")
     lines.append(f"  idle fraction  {_frac(report.idle_fraction)}")
-    lines.append("")
-    return "\n".join(lines)
+    return lines
 
 
-def _load_csv(report: LoadReport) -> str:
+def _load_csv(report: LoadReport) -> list[str]:
     lines = ["entity,kind,net_us,utilization"]
     for row in report.rows:
         lines.append(
             f"{row.entity.id},{row.entity.kind_name},{row.net_us},{_frac(row.utilization)}"
         )
-    lines.append("")
-    return "\n".join(lines)
+    return lines
 
 
 # ---------------------------------------------------------------------------
 # utilization report rendering
 
 
-def _utilization_text(report: UtilizationReport) -> str:
-    lines = ["Processor utilization"]
-    lines += _window_lines(report.window)
-    lines.append(f"  view    {report.view.start} .. {report.view.end} us")
-    lines.append(f"  slot    {report.slot_width_us} us")
-    lines.append("")
+def _utilization_text(report: UtilizationReport) -> list[str]:
+    lines = _head(
+        "Processor utilization",
+        report.window,
+        f"  view    {report.view.start} .. {report.view.end} us",
+        f"  slot    {report.slot_width_us} us",
+        "",
+    )
     rows = []
     for slot in report.slots:
-        marker = "partial" if slot.partial else ""
+        cells = [str(slot.start_us), str(slot.span_us), "partial" if slot.partial else ""]
         for entity, fraction in slot.fractions:
-            rows.append(
-                [
-                    str(slot.start_us),
-                    str(slot.span_us),
-                    marker,
-                    entity.label,
-                    _frac(fraction),
-                ]
-            )
+            rows.append([*cells, entity.label, _frac(fraction)])
     lines += _table(
         ["slot_start_us", "span_us", "note", "entity", "fraction"], rows, "rrllr"
     )
-    lines.append("")
-    return "\n".join(lines)
+    return lines
 
 
-def _utilization_csv(report: UtilizationReport) -> str:
+def _utilization_csv(report: UtilizationReport) -> list[str]:
     lines = ["slot_start_us,slot_span_us,entity,kind,fraction"]
     for slot in report.slots:
         for entity, fraction in slot.fractions:
             lines.append(
                 f"{slot.start_us},{slot.span_us},{entity.id},{entity.kind_name},{_frac(fraction)}"
             )
-    lines.append("")
-    return "\n".join(lines)
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -522,20 +508,15 @@ def _series_text(title: str, series: SeriesStats) -> list[str]:
     lines.append(
         f"      uniform        [{_num(u.lower)}, {_num(u.upper)}] us   ks {_frac(u.ks)}"
     )
-    h = series.histogram
-    for i, count in enumerate(h.counts):
-        lines.append(
-            f"      bin            [{_num(h.edges[i])}, {_num(h.edges[i + 1])}): {count}"
-        )
+    for lo, hi, count in _bins(series.histogram):
+        lines.append(f"      bin            [{_num(lo)}, {_num(hi)}): {count}")
     for note in series.notes:
         lines.append(f"      note           {note}")
     return lines
 
 
-def _stats_text(report: StatsReport) -> str:
-    lines = ["Task statistics"]
-    lines += _window_lines(report.window)
-    lines.append(f"  bins    {report.bins}")
+def _stats_text(report: StatsReport) -> list[str]:
+    lines = _head("Task statistics", report.window, f"  bins    {report.bins}")
     for row in report.rows:
         lines.append("")
         lines.append(f"  {row.entity.label}")
@@ -545,11 +526,10 @@ def _stats_text(report: StatsReport) -> str:
         lines += _series_text("execution time", row.execution)
         if row.period is not None:
             lines += _series_text("period", row.period)
-    lines.append("")
-    return "\n".join(lines)
+    return lines
 
 
-def _stats_csv(report: StatsReport) -> str:
+def _stats_csv(report: StatsReport) -> list[str]:
     lines = [
         "entity,kind,share,dispatches,min_us,max_us,mean_us,"
         "exp_rate_per_us,exp_ks,uni_lower_us,uni_upper_us,uni_ks"
@@ -567,8 +547,7 @@ def _stats_csv(report: StatsReport) -> str:
             f"{_num(s.minimum)},{_num(s.maximum)},{_num(s.mean)},"
             f"{exp_rate},{exp_ks},{_num(u.lower)},{_num(u.upper)},{_frac(u.ks)}"
         )
-    lines.append("")
-    return "\n".join(lines)
+    return lines
 
 
 def render_stats_histograms_csv(report: StatsReport) -> str:
@@ -578,25 +557,25 @@ def render_stats_histograms_csv(report: StatsReport) -> str:
         for name, series in (("exec", row.execution), ("period", row.period)):
             if series is None:
                 continue
-            h = series.histogram
-            for i, count in enumerate(h.counts):
+            for lo, hi, count in _bins(series.histogram):
                 lines.append(
                     f"{row.entity.id},{row.entity.kind_name},{name},"
-                    f"{_num(h.edges[i])},{_num(h.edges[i + 1])},{count}"
+                    f"{_num(lo)},{_num(hi)},{count}"
                 )
-    lines.append("")
-    return "\n".join(lines)
+    return _join(lines)
 
 
 # ---------------------------------------------------------------------------
 # timeline report rendering
 
 
-def _timeline_text(report: TimelineReport) -> str:
-    lines = ["Task execution timeline"]
-    lines += _window_lines(report.window)
-    lines.append(f"  view    {report.view.start} .. {report.view.end} us")
-    lines.append("")
+def _timeline_text(report: TimelineReport) -> list[str]:
+    lines = _head(
+        "Task execution timeline",
+        report.window,
+        f"  view    {report.view.start} .. {report.view.end} us",
+        "",
+    )
     label_w = max((len(e.entity.label) for e in report.entities), default=6)
     ts_w = len(str(report.view.end))
     header = (
@@ -620,28 +599,21 @@ def _timeline_text(report: TimelineReport) -> str:
             d = b - a
             dur = durations.get(d)
             if dur is None:
-                dur = f"{d} us" if d < 1_000 else human_duration(d)
-                durations[d] = dur
+                dur = durations[d] = human_duration(d)
             lines.append(f"{head}{a_text}  {b_text}  {dur}")
             prev_end = b
             prev_text = b_text
-    lines.append("")
-    return "\n".join(lines)
+    return lines
 
 
-def _timeline_csv(report: TimelineReport) -> str:
+def _timeline_csv(report: TimelineReport) -> list[str]:
     lines = ["entity,kind,state,start_us,end_us"]
     for ent in report.entities:
         eid = ent.entity.id
         kind = ent.entity.kind_name
         for seg in ent.segments:
             lines.append(f"{eid},{kind},{seg.state},{seg.start_us},{seg.end_us}")
-    lines.append("")
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -804,10 +776,10 @@ def _load(data, cls, many=False):
     return _JSON_TABLE[cls][0](*values)
 
 
-def _json(report: Report) -> str:
+def _json(report: Report) -> list[str]:
     name, units = _JSON_REPORTS[type(report)]
     doc = {"report": name, "units": units, **_dump(report, type(report))}
-    return json.dumps(doc, indent=2) + "\n"
+    return [json.dumps(doc, indent=2)]
 
 
 # ---------------------------------------------------------------------------
@@ -828,7 +800,7 @@ def render(report: Report, fmt: str = TEXT) -> str:
         renderer = _RENDERERS[type(report)][fmt]
     except KeyError:
         raise ValueError(f"cannot render {type(report).__name__} as {fmt!r}") from None
-    return renderer(report)
+    return _join(renderer(report))
 
 
 _FROM_JSON = {name: cls for cls, (name, _) in _JSON_REPORTS.items()}

@@ -116,7 +116,7 @@ def parse_script(text: str) -> Scenario:
         _irq_forest(run, line=cur[2])
         runs.append(run)
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):  # only LF ends a line, as in traces
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -112,9 +112,11 @@ def _iter_lines(source: Union[str, bytes, IO, Iterable[str]]) -> Iterable[str]:
     if isinstance(source, bytes):
         # an undecodable byte becomes a lone surrogate, which no event
         # matches, so its line is diagnosed like any other bad line
-        return source.decode("utf-8-sig", "surrogateescape").splitlines()
+        source = source.decode("utf-8-sig", "surrogateescape")
     if isinstance(source, str):
-        return source.splitlines()
+        # only LF ends a line (parse_trace strips a CRLF's CR); splitlines
+        # would also break at form feeds and Unicode line separators
+        return source.split("\n")
     return source
 
 

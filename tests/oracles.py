@@ -12,19 +12,19 @@ from schedtrace import Entity, IrqBegin, IrqEnd, TaskSchedule
 from schedtrace.model import IDLE_TASK_ID
 
 
-def charge_by_microsecond(events) -> dict[Entity, int]:
-    """Charge each microsecond of [first, last) to the innermost context.
+def owner_by_microsecond(events):
+    """Yield (t, entity) for each microsecond t of [first, last).
 
-    Events taking effect at time t own the charge for [t, t+1).  Assumes a
-    consistent trace (balanced IRQ nesting, truthful old-task fields).
+    The innermost context at t owns it: events taking effect at time t own
+    [t, t+1).  Assumes a consistent trace (balanced IRQ nesting, truthful
+    old-task fields).
     """
     if not events:
-        return {}
+        return
     start = events[0].at
     end = events[-1].at
     current = events[0].old if isinstance(events[0], TaskSchedule) else IDLE_TASK_ID
     stack: list[int] = []
-    net: Counter = Counter()
     i = 0
     for t in range(start, end):
         while i < len(events) and events[i].at == t:
@@ -37,10 +37,27 @@ def charge_by_microsecond(events) -> dict[Entity, int]:
                 stack.pop()
             i += 1
         if stack:
-            net[Entity.irq(stack[-1])] += 1
+            yield t, Entity.irq(stack[-1])
         else:
-            net[Entity.task(current)] += 1
-    return dict(net)
+            yield t, Entity.task(current)
+
+
+def charge_by_microsecond(events) -> dict[Entity, int]:
+    """Charge each microsecond of [first, last) to the innermost context."""
+    return dict(Counter(entity for _, entity in owner_by_microsecond(events)))
+
+
+def charge_slots_by_microsecond(events, view_start, view_end, width):
+    """[(slot start, {entity: us})] for width-us slots from view_start.
+
+    Each microsecond of [view_start, view_end) is charged to the slot it
+    falls in; the last slot may be cut short by view_end.
+    """
+    slots = {start: Counter() for start in range(view_start, view_end, width)}
+    for t, entity in owner_by_microsecond(events):
+        if view_start <= t < view_end:
+            slots[t - (t - view_start) % width][entity] += 1
+    return [(start, dict(charge)) for start, charge in slots.items()]
 
 
 def ks_statistic_per_sample(samples, cdf) -> float:

@@ -36,7 +36,7 @@ from schedtrace import (
 )
 from schedtrace.cli import run
 from tests.conftest import SHORT_TRACE
-from tests.oracles import charge_by_microsecond
+from tests.oracles import charge_by_microsecond, charge_slots_by_microsecond
 
 
 def _ok(name: str) -> None:
@@ -140,6 +140,65 @@ def test_utilization_sanity(corpus):
                 s.fractions for s in full.slots[1:3]
             ]
     _ok("utilization sanity across corpus")
+
+
+def _scaled(scenario: Scenario, k: int) -> Scenario:
+    """The scenario with every duration and offset multiplied by k."""
+    return Scenario(
+        scenario.start_us * k,
+        tuple(
+            ScenarioRun(
+                r.task,
+                r.gross_us * k,
+                tuple(IrqSpec(q.irq, q.offset_us * k, q.length_us * k) for q in r.irqs),
+            )
+            for r in scenario.runs
+        ),
+    )
+
+
+def _check_slots_against_oracle(log, sliceset, width, view=None):
+    rep = utilization(sliceset, slot_width_us=width, view=view)
+    start, end = rep.view
+    expected = charge_slots_by_microsecond(log.events, start, end, width)
+    assert [slot.start_us for slot in rep.slots] == [s for s, _ in expected]
+    for slot, (_, charge) in zip(rep.slots, expected):
+        span = slot.span_us
+        assert span == min(width, end - slot.start_us)
+        assert slot.partial == (span < width)
+        assert [e for e, _ in slot.fractions] == sorted(charge)
+        assert {e: round(f * span) for e, f in slot.fractions} == charge
+
+
+def _views_inside_slices(slices):
+    """Zoom views whose edges fall strictly inside slices: one spanning from
+    the first slice to the last, one inside a single slice."""
+    long = [(a, b) for _, a, b in slices if b - a >= 3]
+    mid = long[len(long) // 2]
+    return [Window(long[0][0] + 1, long[-1][1] - 1), Window(mid[0] + 1, mid[1] - 1)]
+
+
+def test_utilization_slots_match_microsecond_oracle():
+    for seed in range(20):
+        # width 1: every microsecond is a slot of its own
+        text, _ = generate_trace(random_scenario(seed, n_runs=8, max_gross_us=60))
+        log = parse_trace(text)
+        sliceset = build_slices(log)
+        _check_slots_against_oracle(log, sliceset, 1)
+        for view in _views_inside_slices(sliceset.slices):
+            for width in (1, 7):
+                _check_slots_against_oracle(log, sliceset, width, view)
+        # durations scaled by 10 put every slice end on an edge of a 10 us
+        # slot, and the slice ends picked below on the first slot's end
+        text, _ = generate_trace(_scaled(random_scenario(seed, n_runs=6, max_gross_us=100), 10))
+        log = parse_trace(text)
+        sliceset = build_slices(log)
+        origin = sliceset.window.start
+        for width in (10, 30, *(b - origin for _, _, b in sliceset.slices[1::3])):
+            _check_slots_against_oracle(log, sliceset, width)
+        for view in _views_inside_slices(sliceset.slices):
+            _check_slots_against_oracle(log, sliceset, 130, view)
+    _ok("utilization slots match the per-microsecond oracle")
 
 
 def test_fit_recovery():

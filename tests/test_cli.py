@@ -150,6 +150,26 @@ def test_analyze_non_utf8_byte_is_a_bad_line_not_a_traceback(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_analyze_lenient_warnings_name_their_trace(tmp_path, capsys):
+    a = tmp_path / "a.txt"
+    a.write_text(SHORT_TRACE + "junk\n")
+    b = tmp_path / "b.txt"
+    b.write_text(
+        "<0000h 00m 00s 000 000> Task schedule: old 0 new 1\n"
+        "bad\n"
+        "<0000h 00m 00s 000 020> Task schedule: old 5 new 0\n"
+    )
+    out_dir = tmp_path / "out"
+    args = ["analyze", str(a), str(b), "--report", "load", "--lenient", "-o", str(out_dir)]
+    assert run(args) == 0
+    assert capsys.readouterr().err == (
+        f"warning: {a}: line 11: unknown_event: unrecognized line: 'junk'\n"
+        f"warning: {b}: line 2: unknown_event: unrecognized line: 'bad'\n"
+        f"warning: {b}: at 20 us: old_task_mismatch:"
+        " switch claims old task 5 but task 1 is current\n"
+    )
+
+
 def test_analyze_inconsistent_trace_exit_codes(tmp_path, capsys):
     p = tmp_path / "incons.txt"
     p.write_text(
@@ -218,6 +238,15 @@ def test_generate_bad_script_exit_code(tmp_path, capsys):
     assert "advance" in capsys.readouterr().err
 
 
+def test_generate_non_utf8_script_names_the_line(tmp_path, capsys):
+    script = tmp_path / "s.txt"
+    script.write_bytes(b"run 1 10\n\xff\n")
+    assert run(["generate", str(script)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: unknown directive")
+    assert "Traceback" not in err
+
+
 def test_validate_clean_trace(trace_file, capsys):
     assert run(["validate", trace_file]) == 0
     assert capsys.readouterr().out == "no consistency violations\n"
@@ -242,6 +271,18 @@ def test_validate_lenient_reports_parse_warnings(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "warning: line 11" in captured.err
     assert captured.out == "no consistency violations\n"
+
+
+def test_validate_lenient_counts_lines_only_at_lf(tmp_path, capsys):
+    p = tmp_path / "ff.txt"
+    p.write_bytes(
+        b"<0000h 00m 00s 005 000> Task schedule: old 0 new 2\x0cjunk\n"
+        b"<0000h 00m 00s 005 400> Task schedule: old 2 new 0\n"
+        b"bad\n"
+    )
+    assert run(["validate", str(p), "--lenient"]) == 0
+    warned = [line.split(": ")[1] for line in capsys.readouterr().err.splitlines()]
+    assert warned == ["line 1", "line 3"]
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -118,6 +118,13 @@ def test_utilization_empty_view_raises(short_slices):
         utilization(short_slices, view=Window(SHORT_END, SHORT_END + 50))
 
 
+@pytest.mark.parametrize("maker", [average_load, utilization, task_statistics, timeline])
+def test_zero_length_window_has_one_message(maker):
+    s = build_slices(parse_trace("<0000h 00m 00s 005 000> Task schedule: old 0 new 2\n"))
+    with pytest.raises(EmptyWindowError, match=r"^no time to analyze in \[5000, 5000\] us$"):
+        maker(s)
+
+
 def test_utilization_rejects_bad_slot_width(short_slices):
     with pytest.raises(ValueError):
         utilization(short_slices, slot_width_us=0)

@@ -67,6 +67,13 @@ def test_parse_script_rejects(script, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize("char", ["\x0c", "\x1c", "\x85", "\u2028"])
+def test_parse_script_ends_lines_only_at_lf(char):
+    with pytest.raises(ScriptError) as exc:
+        parse_script(f"run 3 10{char}\r\nrun 4 ten\n")
+    assert exc.value.line == 2
+
+
 def test_generate_trace_boundary_events():
     text, _ = generate_trace(
         Scenario(100, (ScenarioRun(3, 40), ScenarioRun(4, 60))),

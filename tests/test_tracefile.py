@@ -170,6 +170,24 @@ def test_parse_trace_decodes_valid_utf8_as_before():
     assert "noté" in log.diagnostics[0].message
 
 
+# Characters str.splitlines breaks at besides LF and CRLF.  A bare CR is
+# not a line ending in the trace format either.
+_NOT_LINE_ENDINGS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", _NOT_LINE_ENDINGS)
+def test_parse_trace_ends_lines_only_at_lf(char):
+    text = (
+        f"<0000h 00m 00s 005 000> Task schedule: old 0 new 2{char}junk\r\n"
+        "<0000h 00m 00s 005 400> Task schedule: old 2 new 0\n"
+        "bad\n"
+    )
+    for source in (text, text.encode()):
+        log = parse_trace(source, strict=False)
+        assert log.events == [TaskSchedule(5_400, 2, 0)]
+        assert [d.line for d in log.diagnostics] == [1, 3]
+
+
 def test_parse_trace_accepts_iterable_of_lines():
     log = parse_trace(iter(SHORT_TRACE.splitlines()))
     assert len(log.events) == 10
