@@ -60,6 +60,7 @@ from .reports import (
     task_statistics,
     timeline,
     utilization,
+    write_report,
 )
 from .stats import (
     ExponentialFit,

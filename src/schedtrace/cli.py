@@ -10,6 +10,7 @@ import argparse
 import gc
 import os
 import sys
+from contextlib import contextmanager
 
 from .errors import ConsistencyError, TraceError
 from .model import Window
@@ -19,11 +20,11 @@ from .reports import (
     FORMATS,
     TEXT,
     average_load,
-    render,
     render_stats_histograms_csv,
     task_statistics,
     timeline,
     utilization,
+    write_report,
 )
 from .synthgen import Scenario, generate_trace, manifest_csv, parse_script
 from .tracefile import parse_trace_file
@@ -34,6 +35,7 @@ EXIT_CONSISTENCY = 2
 EXIT_USAGE = 3
 
 REPORT_NAMES = ("load", "utilization", "stats", "timeline")
+MAX_BINS = 10_000  # a histogram holds a list of this length per sample series
 _EXTENSIONS = {"text": "txt", "csv": "csv", "json": "json"}
 
 
@@ -72,7 +74,7 @@ def _build_parser() -> _Parser:
         "--to-us", type=int, dest="to_us", help="zoom end, absolute trace us"
     )
     analyze.add_argument(
-        "--bins", type=int, default=20, help="histogram bin count (default 20)"
+        "--bins", type=int, default=20, help=f"histogram bin count, 1 to {MAX_BINS} (default 20)"
     )
     analyze.add_argument(
         "--lenient",
@@ -113,10 +115,23 @@ def _stem(path: str) -> str:
     return base[:dot] if dot > 0 else base
 
 
-def _write(directory: str, name: str, content: str):
+@contextmanager
+def _open(directory: str, name: str):
+    """A text file to write, removed again if the writing fails."""
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, name), "wb") as handle:
-        handle.write(content.encode("utf-8"))
+    path = os.path.join(directory, name)
+    handle = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with handle:
+            yield handle
+    except BaseException:
+        os.remove(path)
+        raise
+
+
+def _write(directory: str, name: str, content: str):
+    with _open(directory, name) as handle:
+        handle.write(content)
 
 
 def _compute(name: str, sliceset, ns):
@@ -154,8 +169,8 @@ def _cmd_analyze(ns) -> int:
     reports.sort(key=REPORT_NAMES.index)
     if ns.slot_width_us < 1:
         raise _UsageError("--slot-width-us must be at least 1")
-    if ns.bins < 1:
-        raise _UsageError("--bins must be at least 1")
+    if not 1 <= ns.bins <= MAX_BINS:
+        raise _UsageError(f"--bins must be from 1 to {MAX_BINS}")
     if ns.from_us is not None and ns.to_us is not None and ns.from_us >= ns.to_us:
         raise _UsageError("--from-us must be smaller than --to-us")
     if len(ns.traces) > 1 and not ns.output_dir:
@@ -167,24 +182,17 @@ def _cmd_analyze(ns) -> int:
         sliceset = build_slices(log, strict=not ns.lenient)
         _warn(log.diagnostics, sliceset.diagnostics, path if multi else None)
         del log  # the reports can reuse the event log's memory
+        directory = os.path.join(ns.output_dir, _stem(path)) if multi else ns.output_dir
         for name in reports:
             report = _compute(name, sliceset, ns)
-            rendered = render(report, ns.format)
-            if ns.output_dir:
-                directory = ns.output_dir
-                if multi:
-                    directory = os.path.join(directory, _stem(path))
-                _write(directory, f"{name}.{_EXTENSIONS[ns.format]}", rendered)
+            if directory:
+                with _open(directory, f"{name}.{_EXTENSIONS[ns.format]}") as handle:
+                    write_report(report, ns.format, handle)
                 if name == "stats" and ns.format == CSV:
-                    _write(
-                        directory,
-                        "stats_histograms.csv",
-                        render_stats_histograms_csv(report),
-                    )
+                    _write(directory, "stats_histograms.csv", render_stats_histograms_csv(report))
             else:
-                if not first_doc:
-                    sys.stdout.write("\n")
-                sys.stdout.write(rendered)
+                sys.stdout.write("" if first_doc else "\n")  # a blank line parts documents
+                write_report(report, ns.format, sys.stdout)
                 first_doc = False
     return EXIT_OK
 

@@ -14,8 +14,9 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
+from math import isfinite
 from operator import attrgetter, itemgetter
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EmptyWindowError
 from .model import (
@@ -357,6 +358,9 @@ def timeline(s: SliceSet, view=None) -> TimelineReport:
 
 # ---------------------------------------------------------------------------
 # rendering helpers
+#
+# Renderers yield a document's lines without their newlines (a json row is
+# one piece of several lines); `_chunks` ends and batches them for writing.
 
 
 def human_duration(us) -> str:
@@ -381,22 +385,15 @@ def _num(x) -> str:
     return str(x)
 
 
-def _table(header: list[str], rows: list[list[str]], align: str) -> list[str]:
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            if len(cell) > widths[i]:
-                widths[i] = len(cell)
-    lines = []
-    for row in [header] + rows:
-        cells = []
-        for i, cell in enumerate(row):
-            if align[i] == "r":
-                cells.append(cell.rjust(widths[i]))
-            else:
-                cells.append(cell.ljust(widths[i]))
-        lines.append(("  " + "  ".join(cells)).rstrip())
-    return lines
+def _table(header: list[str], rows, align: str) -> Iterator[str]:
+    """Aligned table lines; `rows()` yields the cell lists, once for the
+    column widths and once for the lines."""
+    widths = list(map(len, header))
+    for row in rows():
+        widths = list(map(max, widths, map(len, row)))
+    for row in chain((header,), rows()):
+        cells = [c.rjust(w) if a == "r" else c.ljust(w) for c, w, a in zip(row, widths, align)]
+        yield ("  " + "  ".join(cells)).rstrip()
 
 
 def _span_text(us: int) -> str:
@@ -421,17 +418,20 @@ def _bins(h: Histogram):
     return zip(h.edges, h.edges[1:], h.counts)
 
 
-def _join(lines: list[str]) -> str:
-    lines.append("")  # every rendered document ends with a newline
-    return "\n".join(lines)
+def _chunks(lines: Iterable[str], size: int = 2_048) -> Iterator[str]:
+    """The document of `lines`, each newline-terminated, `size` lines a piece."""
+    lines = iter(lines)
+    while batch := list(islice(lines, size)):
+        batch.append("")
+        yield "\n".join(batch)
 
 
 # ---------------------------------------------------------------------------
 # load report rendering
 
 
-def _load_text(report: LoadReport) -> list[str]:
-    lines = _head("Average processor load", report.window, "")
+def _load_text(report: LoadReport) -> Iterator[str]:
+    yield from _head("Average processor load", report.window, "")
     rows = [
         [row.entity.label, f"{row.net_us} us", _frac(row.utilization)]
         for row in report.rows
@@ -439,115 +439,100 @@ def _load_text(report: LoadReport) -> list[str]:
     total_net = sum(row.net_us for row in report.rows)
     total_frac = sum(row.utilization for row in report.rows)
     rows.append(["total", f"{total_net} us", _frac(total_frac)])
-    lines += _table(["entity", "net time", "utilization"], rows, "lrr")
-    lines.append("")
-    lines.append(f"  idle fraction  {_frac(report.idle_fraction)}")
-    return lines
+    yield from _table(["entity", "net time", "utilization"], lambda: rows, "lrr")
+    yield ""
+    yield f"  idle fraction  {_frac(report.idle_fraction)}"
 
 
-def _load_csv(report: LoadReport) -> list[str]:
-    lines = ["entity,kind,net_us,utilization"]
+def _load_csv(report: LoadReport) -> Iterator[str]:
+    yield "entity,kind,net_us,utilization"
     for row in report.rows:
-        lines.append(
-            f"{row.entity.id},{row.entity.kind_name},{row.net_us},{_frac(row.utilization)}"
-        )
-    return lines
+        yield f"{row.entity.id},{row.entity.kind_name},{row.net_us},{_frac(row.utilization)}"
 
 
 # ---------------------------------------------------------------------------
 # utilization report rendering
 
 
-def _utilization_text(report: UtilizationReport) -> list[str]:
-    lines = _head(
+def _utilization_text(report: UtilizationReport) -> Iterator[str]:
+    yield from _head(
         "Processor utilization",
         report.window,
         f"  view    {report.view.start} .. {report.view.end} us",
         f"  slot    {report.slot_width_us} us",
         "",
     )
-    rows = []
-    for slot in report.slots:
-        cells = [str(slot.start_us), str(slot.span_us), "partial" if slot.partial else ""]
-        for entity, fraction in slot.fractions:
-            rows.append([*cells, entity.label, _frac(fraction)])
-    lines += _table(
-        ["slot_start_us", "span_us", "note", "entity", "fraction"], rows, "rrllr"
+    yield from _table(
+        ["slot_start_us", "span_us", "note", "entity", "fraction"],
+        lambda: (
+            [str(slot.start_us), str(slot.span_us), "partial" if slot.partial else "",
+             entity.label, _frac(fraction)]
+            for slot in report.slots for entity, fraction in slot.fractions
+        ),
+        "rrllr",
     )
-    return lines
 
 
-def _utilization_csv(report: UtilizationReport) -> list[str]:
-    lines = ["slot_start_us,slot_span_us,entity,kind,fraction"]
+def _utilization_csv(report: UtilizationReport) -> Iterator[str]:
+    yield "slot_start_us,slot_span_us,entity,kind,fraction"
     for slot in report.slots:
         for entity, fraction in slot.fractions:
-            lines.append(
-                f"{slot.start_us},{slot.span_us},{entity.id},{entity.kind_name},{_frac(fraction)}"
-            )
-    return lines
+            yield f"{slot.start_us},{slot.span_us},{entity.id},{entity.kind_name},{_frac(fraction)}"
 
 
 # ---------------------------------------------------------------------------
 # stats report rendering
 
 
-def _series_text(title: str, series: SeriesStats) -> list[str]:
+def _series_text(title: str, series: SeriesStats) -> Iterator[str]:
     s = series.summary
-    lines = [f"    {title}:"]
-    lines.append(f"      samples        {s.count}")
-    lines.append(f"      minimum        {human_duration(s.minimum)}")
-    lines.append(f"      worst case     {human_duration(s.maximum)}")
-    lines.append(f"      average        {human_duration(s.mean)}")
+    yield f"    {title}:"
+    yield f"      samples        {s.count}"
+    yield f"      minimum        {human_duration(s.minimum)}"
+    yield f"      worst case     {human_duration(s.maximum)}"
+    yield f"      average        {human_duration(s.mean)}"
     if series.exponential is not None:
         e = series.exponential
-        lines.append(
+        yield (
             f"      exponential    rate {e.rate_per_us:.6g} /us"
             f"   log-likelihood {e.log_likelihood:.6g}   ks {_frac(e.ks)}"
         )
     u = series.uniform
-    lines.append(
-        f"      uniform        [{_num(u.lower)}, {_num(u.upper)}] us   ks {_frac(u.ks)}"
-    )
+    yield f"      uniform        [{_num(u.lower)}, {_num(u.upper)}] us   ks {_frac(u.ks)}"
     for lo, hi, count in _bins(series.histogram):
-        lines.append(f"      bin            [{_num(lo)}, {_num(hi)}): {count}")
+        yield f"      bin            [{_num(lo)}, {_num(hi)}): {count}"
     for note in series.notes:
-        lines.append(f"      note           {note}")
-    return lines
+        yield f"      note           {note}"
 
 
-def _stats_text(report: StatsReport) -> list[str]:
-    lines = _head("Task statistics", report.window, f"  bins    {report.bins}")
+def _stats_text(report: StatsReport) -> Iterator[str]:
+    yield from _head("Task statistics", report.window, f"  bins    {report.bins}")
     for row in report.rows:
-        lines.append("")
-        lines.append(f"  {row.entity.label}")
-        lines.append(f"    utilization    {_frac(row.share)}")
-        lines.append(f"    net time       {_span_text(row.net_us)}")
-        lines.append(f"    dispatches     {row.dispatches}")
-        lines += _series_text("execution time", row.execution)
+        yield ""
+        yield f"  {row.entity.label}"
+        yield f"    utilization    {_frac(row.share)}"
+        yield f"    net time       {_span_text(row.net_us)}"
+        yield f"    dispatches     {row.dispatches}"
+        yield from _series_text("execution time", row.execution)
         if row.period is not None:
-            lines += _series_text("period", row.period)
-    return lines
+            yield from _series_text("period", row.period)
 
 
-def _stats_csv(report: StatsReport) -> list[str]:
-    lines = [
+def _stats_csv(report: StatsReport) -> Iterator[str]:
+    yield (
         "entity,kind,share,dispatches,min_us,max_us,mean_us,"
         "exp_rate_per_us,exp_ks,uni_lower_us,uni_upper_us,uni_ks"
-    ]
+    )
     for row in report.rows:
         s = row.execution.summary
-        if row.execution.exponential is not None:
-            e = row.execution.exponential
-            exp_rate, exp_ks = _num(e.rate_per_us), _frac(e.ks)
-        else:
-            exp_rate, exp_ks = "", ""
+        e = row.execution.exponential
+        exp_rate, exp_ks = ("", "") if e is None else (_num(e.rate_per_us), _frac(e.ks))
         u = row.execution.uniform
-        lines.append(
+        yield (
             f"{row.entity.id},{row.entity.kind_name},{_frac(row.share)},{row.dispatches},"
             f"{_num(s.minimum)},{_num(s.maximum)},{_num(s.mean)},"
             f"{exp_rate},{exp_ks},{_num(u.lower)},{_num(u.upper)},{_frac(u.ks)}"
         )
-    return lines
 
 
 def render_stats_histograms_csv(report: StatsReport) -> str:
@@ -562,15 +547,15 @@ def render_stats_histograms_csv(report: StatsReport) -> str:
                     f"{row.entity.id},{row.entity.kind_name},{name},"
                     f"{_num(lo)},{_num(hi)},{count}"
                 )
-    return _join(lines)
+    return "".join(_chunks(lines))
 
 
 # ---------------------------------------------------------------------------
 # timeline report rendering
 
 
-def _timeline_text(report: TimelineReport) -> list[str]:
-    lines = _head(
+def _timeline_text(report: TimelineReport) -> Iterator[str]:
+    yield from _head(
         "Task execution timeline",
         report.window,
         f"  view    {report.view.start} .. {report.view.end} us",
@@ -582,7 +567,7 @@ def _timeline_text(report: TimelineReport) -> list[str]:
         f"  {'entity'.ljust(label_w)}  {'state'.ljust(16)}  "
         f"{'start_us'.rjust(ts_w)}  {'end_us'.rjust(ts_w)}  duration"
     )
-    lines.append(header.rstrip())
+    yield header.rstrip()
     durations: dict[int, str] = {}  # rows repeat few distinct durations
     for ent in report.entities:
         prefix = "  " + ent.entity.label.ljust(label_w) + "  "
@@ -600,20 +585,18 @@ def _timeline_text(report: TimelineReport) -> list[str]:
             dur = durations.get(d)
             if dur is None:
                 dur = durations[d] = human_duration(d)
-            lines.append(f"{head}{a_text}  {b_text}  {dur}")
+            yield f"{head}{a_text}  {b_text}  {dur}"
             prev_end = b
             prev_text = b_text
-    return lines
 
 
-def _timeline_csv(report: TimelineReport) -> list[str]:
-    lines = ["entity,kind,state,start_us,end_us"]
+def _timeline_csv(report: TimelineReport) -> Iterator[str]:
+    yield "entity,kind,state,start_us,end_us"
     for ent in report.entities:
         eid = ent.entity.id
         kind = ent.entity.kind_name
-        for seg in ent.segments:
-            lines.append(f"{eid},{kind},{seg.state},{seg.start_us},{seg.end_us}")
-    return lines
+        for state, a, b in ent.segments:
+            yield f"{eid},{kind},{state},{a},{b}"
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +613,7 @@ def _entity(kind: str, entity_id: int) -> Entity:
 # type is left out for a plain value, and a bare name stands for a plain
 # value whose key and attribute agree.  A nested type in a list stands for
 # a list of that type, and a None key merges the nested object's keys into
-# its parent's.  Missing optional values are null.
+# its parent's.  Keys need no json escaping.  Missing optional values are null.
 _FRACTION = "entity fraction"  # the (entity, fraction) pairs of a slot
 _JSON_TABLE = {
     Window: (Window, (("start_us", "start"), ("end_us", "end"))),
@@ -733,33 +716,95 @@ def _json_fields(cls):
 
 
 _JSON_FIELDS = {cls: _json_fields(cls) for cls in _JSON_TABLE}
-# Keys of the tuple types whose json fields are their own, in order: a list
-# of them, such as a timeline's hundreds of thousands of segments, is dumped
-# with zip, in about two thirds of the field loop's time.
-_JSON_TUPLE_KEYS = {
-    cls: fields for cls, (_, fields) in _JSON_TABLE.items()
-    if fields == getattr(cls, "_fields", None)
+_STRINGS = {  # json text of the strings that fill the long lists: states, kinds
+    s: json.dumps(s)
+    for s in (RUNNING, PREEMPTED_BY_IRQ, INACTIVE, ACTIVE, IDLE.kind_name, Entity.irq(0).kind_name)
 }
 
 
-def _dump(value, cls, many=False):
-    if value is None:
-        return None
-    if many:
-        keys = _JSON_TUPLE_KEYS.get(cls)
-        if keys is not None:
-            return [dict(zip(keys, item)) for item in value]
-        return [_dump(item, cls) for item in value]
-    out = {}
-    for key, get, nested, nested_many in _JSON_FIELDS[cls]:
-        field = get(value)
-        if nested is not None:
-            field = _dump(field, nested, nested_many)
+def _plain(x, pad="") -> str:
+    """json.dumps(x, indent=2) of a value outside the table, at indent `pad`.
+    Lists are laid out here: json.dumps with an indent leaves cyclic garbage
+    on each call, which the CLI, with its GC off, would keep."""
+    t = type(x)
+    if t is str:
+        return _STRINGS.get(x) or json.dumps(x)
+    if t is int or t is float and isfinite(x):
+        return repr(x)
+    if t in (list, tuple) and x:
+        inner = pad + "  "
+        return "[" + ",".join(f"\n{inner}{_plain(v, inner)}" for v in x) + f"\n{pad}]"
+    return json.dumps(x, indent=2 if t is dict else None).replace("\n", "\n" + pad)
+
+
+# The json writer lays a report out as json.dumps(doc, indent=2) would,
+# without the doc.  Its iterators chain, so a row passes up the nesting in C
+# (JSONEncoder.iterencode with an indent would run in pure Python).
+
+
+def _json_value(value, cls, many, pad, head, tail) -> Iterator[str]:
+    """Lines of a value that opens after `head` at indent `pad` and closes with `tail`."""
+    if cls is None or not value:  # a plain value, a missing one or an empty list
+        return iter((f"{head}{_plain(value, pad)}{tail}",))
+    inner = pad + "  "
+    if not many:
+        members = chain.from_iterable(_json_members(value, cls, inner, ""))
+        return chain((head + "{",), members, (pad + "}" + tail,))
+    last = len(value) - 1
+    rows = _JSON_ROWS.get(cls)
+    if rows is not None:
+        items = rows(islice(value, last), inner)
+    else:
+        items = chain.from_iterable(
+            _json_value(item, cls, False, inner, inner, ",") for item in islice(value, last)
+        )
+    last_item = _json_value(value[last], cls, False, inner, inner, "")
+    return chain((head + "[",), items, last_item, (pad + "]" + tail,))
+
+
+def _json_members(value, cls, pad, tail) -> Iterator[Iterator[str]]:
+    """The lines of each member; a merged (None key) object's members take its place."""
+    members = _JSON_FIELDS[cls]
+    last = len(members) - 1
+    for i, (key, get, nested, many) in enumerate(members):
+        end = "," if i < last else tail
         if key is None:
-            out.update(field)
+            yield from _json_members(get(value), nested, pad, end)
         else:
-            out[key] = field
-    return out
+            yield _json_value(get(value), nested, many, pad, f'{pad}"{key}": ', end)
+
+
+def _keys(cls) -> list[str]:
+    return [k for key, _, n, _ in _JSON_FIELDS[cls] for k in (_keys(n) if key is None else [key])]
+
+
+# The long lists (segments, a slot's fractions) write each row but the last
+# in one f-string, around _row_text: opening and first key, later keys, close.
+def _row_text(cls, pad) -> list[str]:
+    first, *rest = (f'\n  {pad}"{k}": ' for k in _keys(cls))
+    return [pad + "{" + first, *("," + k for k in rest), f"\n{pad}}},"]
+
+
+def _segment_rows(segments, pad) -> Iterator[str]:
+    head, k2, k3, close = _row_text(TimelineSegment, pad)
+    for state, a, b in segments:
+        yield f"{head}{_STRINGS.get(state) or _plain(state)}{k2}{a}{k3}{b}{close}"
+
+
+def _fraction_rows(fractions, pad) -> Iterator[str]:
+    head, k2, k3, close = _row_text(_FRACTION, pad)
+    for entity, fraction in fractions:
+        yield f"{head}{_plain(entity.kind_name)}{k2}{entity.id}{k3}{fraction!r}{close}"
+
+
+_JSON_ROWS = {TimelineSegment: _segment_rows, _FRACTION: _fraction_rows}
+
+
+def _json(report: Report) -> Iterator[str]:
+    name, units = _JSON_REPORTS[type(report)]
+    header = (f'  "report": {_plain(name)},', f'  "units": {_plain(units, "  ")},')
+    members = chain.from_iterable(_json_members(report, type(report), "  ", ""))
+    return chain(("{",), header, members, ("}",))
 
 
 def _load(data, cls, many=False):
@@ -776,12 +821,6 @@ def _load(data, cls, many=False):
     return _JSON_TABLE[cls][0](*values)
 
 
-def _json(report: Report) -> list[str]:
-    name, units = _JSON_REPORTS[type(report)]
-    doc = {"report": name, "units": units, **_dump(report, type(report))}
-    return [json.dumps(doc, indent=2)]
-
-
 # ---------------------------------------------------------------------------
 # dispatch
 
@@ -794,13 +833,22 @@ _RENDERERS = {
 }
 
 
-def render(report: Report, fmt: str = TEXT) -> str:
-    """Render a report value deterministically in text, csv or json."""
+def _pieces(report: Report, fmt: str) -> Iterator[str]:
     try:
         renderer = _RENDERERS[type(report)][fmt]
     except KeyError:
         raise ValueError(f"cannot render {type(report).__name__} as {fmt!r}") from None
-    return _join(renderer(report))
+    return _chunks(renderer(report))
+
+
+def render(report: Report, fmt: str = TEXT) -> str:
+    """Render a report value deterministically in text, csv or json."""
+    return "".join(_pieces(report, fmt))
+
+
+def write_report(report: Report, fmt: str, stream) -> None:
+    """Write `render(report, fmt)` to an io text stream, in pieces as it is rendered."""
+    stream.writelines(_pieces(report, fmt))
 
 
 _FROM_JSON = {name: cls for cls, (name, _) in _JSON_REPORTS.items()}

@@ -6,8 +6,8 @@ One event per line::
     <0000h 00m 01s 290 838> IRQ begin: 16
     <0000h 00m 01s 290 861> IRQ end: 16
 
-Reading is tolerant: any run of spaces/tabs between tokens, any digit count
-per field, LF or CRLF.  Writing is canonical: zero-padded fields, single
+Reading is tolerant: any run of spaces/tabs between tokens, 1 to 18 digits
+per number, LF or CRLF.  Writing is canonical: zero-padded fields, single
 spaces, LF line endings.
 """
 
@@ -43,12 +43,15 @@ class ParseDiagnostic(NamedTuple):
     message: str
 
 
+# A number has at most 18 digits, so it fits a signed 64-bit integer and
+# int() takes it on every Python (3.11 refuses more than 4300 digits).
+_NUM = r"\d{1,18}"
 # The h/m/s/ms part of the timestamp is one group: adjacent lines usually
 # share it, so parse_trace converts it only when it changes.
 _EVENT_RE = re.compile(
-    r"<(\d+h[ \t]+\d+m[ \t]+\d+s[ \t]+\d+)[ \t]+(\d+)>[ \t]+"
-    r"(?:Task[ \t]+schedule:[ \t]+old[ \t]+(\d+)[ \t]+new[ \t]+(\d+)"
-    r"|IRQ[ \t]+(?:begin:[ \t]+(\d+)|end:[ \t]+(\d+)))"
+    rf"<({_NUM}h[ \t]+{_NUM}m[ \t]+{_NUM}s[ \t]+{_NUM})[ \t]+({_NUM})>[ \t]+"
+    rf"(?:Task[ \t]+schedule:[ \t]+old[ \t]+({_NUM})[ \t]+new[ \t]+({_NUM})"
+    rf"|IRQ[ \t]+(?:begin:[ \t]+({_NUM})|end:[ \t]+({_NUM})))"
 )
 
 
@@ -65,7 +68,7 @@ def _prefix_us(prefix: str) -> int | None:
 
 # Used only to classify lines the event regex or the range rule rejected.
 _BRACKET_RE = re.compile(r"<([^>]*)>[ \t]*(.*)$")
-_TS_FIELDS_RE = re.compile(r"(\d+)h[ \t]+(\d+)m[ \t]+(\d+)s[ \t]+(\d+)[ \t]+(\d+)$")
+_TS_FIELDS_RE = re.compile(rf"({_NUM})h[ \t]+({_NUM})m[ \t]+({_NUM})s[ \t]+({_NUM})[ \t]+({_NUM})$")
 _PAYLOAD_HEAD_RE = re.compile(r"(?:Task[ \t]+schedule:|IRQ[ \t]+(?:begin|end):)")
 
 
@@ -78,14 +81,14 @@ def _diagnose(text: str) -> tuple[DiagnosticKind, str]:
     if fields is None:
         return (
             DiagnosticKind.MALFORMED_TIMESTAMP,
-            f"malformed timestamp: {m.group(1)!r}",
+            f"malformed timestamp: {m.group(1)[:60]!r}",
         )
     try:
         timestamp_from_fields(*map(int, fields.groups()))
     except TimestampRangeError:
         return (
             DiagnosticKind.MALFORMED_TIMESTAMP,
-            f"timestamp field out of range: {m.group(1)!r}",
+            f"timestamp field out of range: {m.group(1)[:60]!r}",
         )
     rest = m.group(2)
     if _PAYLOAD_HEAD_RE.match(rest):

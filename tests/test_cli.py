@@ -5,7 +5,15 @@ import sys
 
 import pytest
 
-from schedtrace import average_load, build_slices, parse_trace, render, task_statistics
+from schedtrace import (
+    average_load,
+    build_slices,
+    parse_trace,
+    render,
+    task_statistics,
+    timeline,
+    utilization,
+)
 from schedtrace.cli import run
 from tests.conftest import SHORT_TRACE
 
@@ -37,6 +45,24 @@ def test_analyze_multiple_reports_canonical_order_and_dedupe(trace_file, capsys)
     stats_text = render(task_statistics(_slices()), "text")
     # load always renders before stats, once each, separated by a blank line
     assert out == load_text + "\n" + stats_text
+
+
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("csv", "csv"), ("json", "json")])
+def test_analyze_writes_every_report_as_render_returns_it(trace_file, tmp_path, capsys, fmt, ext):
+    s = _slices()
+    expected = {
+        name: render(maker(s), fmt)
+        for name, maker in [("load", average_load), ("utilization", utilization),
+                            ("stats", task_statistics), ("timeline", timeline)]
+    }
+    reports = [arg for name in expected for arg in ("--report", name)]
+    assert run(["analyze", trace_file, *reports, "--format", fmt]) == 0
+    # on stdout a blank line parts the documents
+    assert capsys.readouterr().out == "\n".join(expected.values())
+    out_dir = tmp_path / "out"
+    assert run(["analyze", trace_file, *reports, "--format", fmt, "-o", str(out_dir)]) == 0
+    for name, text in expected.items():
+        assert (out_dir / f"{name}.{ext}").read_bytes() == text.encode()
 
 
 def test_analyze_writes_files(trace_file, tmp_path, capsys):
@@ -111,6 +137,13 @@ def test_analyze_bad_slot_width_is_usage_error(trace_file):
                 "--slot-width-us", "0"]) == 3
 
 
+def test_analyze_bins_out_of_bounds_is_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "never-read.txt")  # rejected before the trace is read
+    for bins in ("0", "10001"):
+        assert run(["analyze", missing, "--report", "stats", "--bins", bins]) == 3
+        assert capsys.readouterr().err == "error: --bins must be from 1 to 10000\n"
+
+
 def test_analyze_parse_error_exit_code(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("garbage\n")
@@ -168,6 +201,34 @@ def test_analyze_lenient_warnings_name_their_trace(tmp_path, capsys):
         f"warning: {b}: at 20 us: old_task_mismatch:"
         " switch claims old task 5 but task 1 is current\n"
     )
+
+
+# Longer digit runs than int() takes on Python 3.11 (4300), in the three
+# kinds of number field: an IRQ id, the microseconds and the hours.
+LONG_DIGIT_LINES = {
+    "id": ("<0000h 00m 00s 000 100> IRQ begin: " + "1" * 5000, "malformed_payload"),
+    "us": ("<0000h 00m 00s 000 " + "1" * 5000 + "> IRQ begin: 3", "malformed_timestamp"),
+    "hours": ("<" + "1" * 5000 + "h 00m 00s 000 100> IRQ begin: 3", "malformed_timestamp"),
+}
+
+
+@pytest.mark.parametrize("field", LONG_DIGIT_LINES)
+def test_long_digit_run_is_a_diagnosed_line(field, tmp_path, capsys):
+    line, kind = LONG_DIGIT_LINES[field]
+    p = tmp_path / "long.txt"
+    p.write_text(
+        "<0000h 00m 00s 000 000> Task schedule: old 0 new 1\n"
+        f"{line}\n"
+        "<0000h 00m 00s 000 200> Task schedule: old 1 new 0\n"
+    )
+    for command in (["analyze", str(p), "--report", "load"], ["validate", str(p)]):
+        assert run(command) == 1
+        assert capsys.readouterr().err.startswith("error: line 2: ")
+        assert run([*command, "--lenient"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"warning: line 2: {kind}: ")
+        assert len(captured.err) < 200  # the message quotes a bounded excerpt
+        assert "task 1" in captured.out or captured.out == "no consistency violations\n"
 
 
 def test_analyze_inconsistent_trace_exit_codes(tmp_path, capsys):

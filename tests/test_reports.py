@@ -1,12 +1,16 @@
 """Report computation and the text/csv/json renderings."""
 
+import io
 import json
+import tracemalloc
 
 import pytest
 
 from schedtrace import (
     EmptyWindowError,
     Entity,
+    EntityTimeline,
+    TimelineReport,
     TimelineSegment,
     Window,
     average_load,
@@ -20,8 +24,9 @@ from schedtrace import (
     task_statistics,
     timeline,
     utilization,
+    write_report,
 )
-from tests.conftest import SHORT_END, SHORT_NETS, SHORT_SPAN, SHORT_START
+from tests.conftest import SHORT_END, SHORT_NETS, SHORT_SPAN, SHORT_START, SHORT_TRACE
 
 
 def test_load_rows_and_idle_fraction(short_slices):
@@ -398,3 +403,76 @@ def test_json_declares_units(short_slices):
     for maker in (average_load, utilization, task_statistics, timeline):
         data = json.loads(render(maker(short_slices), "json"))
         assert "units" in data and data["units"]["time"] == "us"
+
+
+# Task 1 runs the whole window, so its timeline is one segment.
+ONE_SEGMENT_TRACE = (
+    "<0000h 00m 00s 000 000> Task schedule: old 0 new 1\n"
+    "<0000h 00m 00s 000 050> Task schedule: old 1 new 0\n"
+)
+WRITER_CASES = {
+    "short": (SHORT_TRACE, None),
+    "short-zoom": (SHORT_TRACE, Window(SHORT_START + 100, SHORT_START + 450)),
+    "seed-303": (generate_trace(random_scenario(303))[0], None),
+    "seed-7": (generate_trace(random_scenario(7))[0], None),
+    "zero-net": (ZERO_NET_TRACE, None),
+    "one-segment": (ONE_SEGMENT_TRACE, None),
+}
+
+
+def _writer_report(case, maker):
+    trace, view = WRITER_CASES[case]
+    s = build_slices(parse_trace(trace))
+    if maker is utilization:  # several slots, the last one partial
+        return utilization(s, max(1, s.window.duration_us * 2 // 5), view)
+    if maker is timeline:
+        return timeline(s, view)
+    return task_statistics(s, bins=4) if maker is task_statistics else average_load(s)
+
+
+def test_one_segment_case_has_a_one_segment_timeline():
+    rep = _writer_report("one-segment", timeline)
+    assert [len(e.segments) for e in rep.entities if e.entity == Entity.task(1)] == [1]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("maker", [average_load, utilization, task_statistics, timeline])
+@pytest.mark.parametrize("case", WRITER_CASES)
+def test_write_report_writes_what_render_returns(case, maker, fmt):
+    rep = _writer_report(case, maker)
+    stream = io.StringIO()
+    write_report(rep, fmt, stream)
+    out = stream.getvalue()
+    assert out == render(rep, fmt)
+    if fmt == "json":
+        # the writer lays json out byte for byte as json.dumps(indent=2) does
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert report_from_json(out) == rep
+
+
+class _Sink(io.TextIOBase):
+    """A text stream that keeps only the count of what it is given."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+
+def test_write_report_never_holds_a_whole_json_timeline():
+    n = 100_000
+    segments = [
+        TimelineSegment(("running", "inactive")[i % 2], 10 * i, 10 * i + 10) for i in range(n)
+    ]
+    window = Window(0, 10 * n)
+    rep = TimelineReport(window, window, [EntityTimeline(Entity.task(1), segments)])
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        write_report(rep, "json", sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 10_000_000
+    assert peak < sink.size / 10

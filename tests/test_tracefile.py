@@ -62,6 +62,17 @@ def test_parse_line_diagnoses_bad_lines(text, kind):
     assert exc.value.kind == kind
 
 
+def test_numbers_have_at_most_18_digits():
+    # 18 digits is the documented bound, leading zeros included
+    assert parse_line("<0000h 00m 00s 000 005> IRQ begin: " + "7".zfill(18)) == IrqBegin(5, 7)
+    with pytest.raises(ParseError) as exc:
+        parse_line("<0000h 00m 00s 000 005> IRQ begin: " + "7".zfill(19))
+    assert exc.value.kind == DiagnosticKind.MALFORMED_PAYLOAD
+    with pytest.raises(ParseError) as exc:
+        parse_line("<" + "0" * 19 + "h 00m 00s 000 005> IRQ begin: 7")
+    assert exc.value.kind == DiagnosticKind.MALFORMED_TIMESTAMP
+
+
 def test_out_of_range_field_gets_the_same_message_from_both_readers():
     line = "<0000h 00m 00s 000 1000> IRQ begin: 1"
     message = "timestamp field out of range: '0000h 00m 00s 000 1000'"
