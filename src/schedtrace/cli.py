@@ -18,8 +18,10 @@ from .replay import build_slices, validate_consistency
 from .reports import (
     CSV,
     FORMATS,
+    REPORT_TYPES,
     TEXT,
     average_load,
+    clip_view,
     render_stats_histograms_csv,
     task_statistics,
     timeline,
@@ -27,15 +29,15 @@ from .reports import (
     write_report,
 )
 from .synthgen import Scenario, generate_trace, manifest_csv, parse_script
-from .tracefile import parse_trace_file
+from .tracefile import parse_trace_file, read_text
 
 EXIT_OK = 0
 EXIT_TRACE_ERROR = 1
 EXIT_CONSISTENCY = 2
 EXIT_USAGE = 3
 
-REPORT_NAMES = ("load", "utilization", "stats", "timeline")
 MAX_BINS = 10_000  # a histogram holds a list of this length per sample series
+MAX_SLOTS = 100_000  # a utilization report holds one slot value per slot
 _EXTENSIONS = {"text": "txt", "csv": "csv", "json": "json"}
 
 
@@ -58,14 +60,14 @@ def _build_parser() -> _Parser:
         "--report",
         action="append",
         dest="reports",
-        choices=REPORT_NAMES,
+        choices=tuple(REPORT_TYPES),
         help="report to emit; repeatable",
     )
     analyze.add_argument(
         "--slot-width-us",
         type=int,
         default=100_000,
-        help="utilization slot width in microseconds (default 100000)",
+        help=f"utilization slot width in microseconds (default 100000), at most {MAX_SLOTS} slots",
     )
     analyze.add_argument(
         "--from-us", type=int, dest="from_us", help="zoom start, absolute trace us"
@@ -138,7 +140,13 @@ def _compute(name: str, sliceset, ns):
     if name == "load":
         return average_load(sliceset)
     if name == "utilization":
-        return utilization(sliceset, ns.slot_width_us, _view(ns, sliceset))
+        view = clip_view(_view(ns, sliceset), sliceset.window)
+        slots = -(-view.duration_us // ns.slot_width_us)
+        if slots > MAX_SLOTS:
+            raise _UsageError(
+                f"--slot-width-us {ns.slot_width_us} makes {slots} slots; at most {MAX_SLOTS} fit"
+            )
+        return utilization(sliceset, ns.slot_width_us, view)
     if name == "stats":
         return task_statistics(sliceset, ns.bins)
     return timeline(sliceset, _view(ns, sliceset))
@@ -163,10 +171,9 @@ def _warn(diagnostics, violations=(), trace=None):
 
 
 def _cmd_analyze(ns) -> int:
-    reports = list(dict.fromkeys(ns.reports or ()))
+    reports = [name for name in REPORT_TYPES if name in (ns.reports or ())]
     if not reports:
         raise _UsageError("select at least one --report")
-    reports.sort(key=REPORT_NAMES.index)
     if ns.slot_width_us < 1:
         raise _UsageError("--slot-width-us must be at least 1")
     if not 1 <= ns.bins <= MAX_BINS:
@@ -198,14 +205,7 @@ def _cmd_analyze(ns) -> int:
 
 
 def _cmd_generate(ns) -> int:
-    if ns.script == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(ns.script, "rb") as handle:
-            data = handle.read()
-    # decoded as traces are: a bad byte becomes a lone surrogate, which no
-    # directive matches, so its line gets a ScriptError
-    scenario = parse_script(data.decode("utf-8-sig", "surrogateescape"))
+    scenario = parse_script(read_text(ns.script))
     if ns.start_us:
         scenario = Scenario(ns.start_us, scenario.runs)
     trace_text, manifest = generate_trace(

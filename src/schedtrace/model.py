@@ -21,8 +21,8 @@ US_PER_SECOND = 1_000_000
 US_PER_MINUTE = 60 * US_PER_SECOND
 US_PER_HOUR = 60 * US_PER_MINUTE
 
-# The written timestamp carries a 4-digit hour field, which caps what the
-# format can express.  Parsing tolerates larger values; writing does not.
+# The timestamp carries a 4-digit hour field, which caps what the format can
+# express: parsing and writing accept the same range.
 MAX_TIMESTAMP_US = 10_000 * US_PER_HOUR - 1
 
 IDLE_TASK_ID = 0
@@ -31,10 +31,11 @@ IDLE_TASK_ID = 0
 def timestamp_from_fields(hours, minutes, seconds, ms, us):
     """Combine clock fields into integer microseconds.
 
-    Raises TimestampRangeError when a field is negative or when minutes,
-    seconds, milliseconds or microseconds exceed their carrying range.
+    Raises TimestampRangeError when a field is negative, when hours exceed
+    9999 or when minutes, seconds, milliseconds or microseconds exceed their
+    carrying range.
     """
-    if minutes >= 60 or seconds >= 60 or ms >= 1000 or us >= 1000:
+    if hours >= 10_000 or minutes >= 60 or seconds >= 60 or ms >= 1000 or us >= 1000:
         raise TimestampRangeError(
             f"timestamp field out of range: {hours}h {minutes}m {seconds}s {ms} {us}"
         )
@@ -186,17 +187,16 @@ class SliceSet:
     schedule_ins: dict[int, list[int]]
     diagnostics: list["ConsistencyViolation"] = field(default_factory=list)
 
+    def runs_by_entity(self) -> dict[Entity, list[Run]]:
+        """Runs of every entity that was scheduled or invoked, tasks first, ids ascending."""
+        found = [(Entity(EntityKind.TASK, t), runs) for t, runs in self.task_runs.items()]
+        found += [(Entity(EntityKind.IRQ, i), runs) for i, runs in self.irq_runs.items()]
+        return dict(sorted(found))
+
     def net_times(self) -> dict[Entity, int]:
         """Net charged time per entity; sums exactly to the window duration."""
-        totals: dict[Entity, int] = {}
-        for task_id, runs in self.task_runs.items():
-            totals[Entity(EntityKind.TASK, task_id)] = sum(r.net_us for r in runs)
-        for irq_id, runs in self.irq_runs.items():
-            totals[Entity(EntityKind.IRQ, irq_id)] = sum(r.net_us for r in runs)
-        return totals
+        return {e: sum(r.net_us for r in runs) for e, runs in self.runs_by_entity().items()}
 
     def entities(self) -> list[Entity]:
         """Every entity that was scheduled or invoked, tasks first, ids ascending."""
-        found = [Entity(EntityKind.TASK, t) for t in self.task_runs]
-        found += [Entity(EntityKind.IRQ, i) for i in self.irq_runs]
-        return sorted(found)
+        return list(self.runs_by_entity())

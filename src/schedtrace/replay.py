@@ -10,6 +10,7 @@ truncated to what the trace shows.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from enum import Enum
 from typing import NamedTuple
 
@@ -73,9 +74,9 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
         violations.append(found)
 
     slices: list[ExecutionSlice] = []
-    task_runs: dict[int, list[Run]] = {}
-    irq_runs: dict[int, list[Run]] = {}
-    schedule_ins: dict[int, list[int]] = {}
+    task_runs: defaultdict[int, list[Run]] = defaultdict(list)
+    irq_runs: defaultdict[int, list[Run]] = defaultdict(list)
+    schedule_ins: defaultdict[int, list[int]] = defaultdict(list)
 
     # Interned Entity values: the open slice is extended while the charged
     # entity stays the same object.
@@ -119,10 +120,7 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
                     f"switch claims old task {ev.old} but task {current} is current",
                 )
             if at > run_start:
-                runs = task_runs.get(current)
-                if runs is None:
-                    runs = task_runs[current] = []
-                runs.append(tuple_new(Run, (run_start, at, run_net)))
+                task_runs[current].append(tuple_new(Run, (run_start, at, run_net)))
             current = ev.new
             current_entity = task_entities.get(current)
             if current_entity is None:
@@ -130,10 +128,7 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
                 task_entities[current] = current_entity
             run_start = at
             run_net = 0
-            ins = schedule_ins.get(current)
-            if ins is None:
-                ins = schedule_ins[current] = []
-            ins.append(at)
+            schedule_ins[current].append(at)
         elif kind is IrqEnd:
             if not stack:
                 violation(
@@ -150,10 +145,7 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
             else:
                 irq_id, begin, net, _ = stack.pop()
                 if at > begin:
-                    runs = irq_runs.get(irq_id)
-                    if runs is None:
-                        runs = irq_runs[irq_id] = []
-                    runs.append(tuple_new(Run, (begin, at, net)))
+                    irq_runs[irq_id].append(tuple_new(Run, (begin, at, net)))
         else:  # IrqBegin
             irq_id = ev.irq
             entity = irq_entities.get(irq_id)
@@ -162,9 +154,7 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
             stack.append([irq_id, at, 0, entity])
 
     if window.end > run_start:
-        task_runs.setdefault(current, []).append(
-            tuple_new(Run, (run_start, window.end, run_net))
-        )
+        task_runs[current].append(tuple_new(Run, (run_start, window.end, run_net)))
     while stack:
         irq_id, begin, net, _ = stack.pop()
         violation(
@@ -173,13 +163,14 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
             f"IRQ {irq_id} is still open at the end of the trace",
         )
         if window.end > begin:
-            irq_runs.setdefault(irq_id, []).append(
-                tuple_new(Run, (begin, window.end, net))
-            )
+            irq_runs[irq_id].append(tuple_new(Run, (begin, window.end, net)))
     if pend_entity is not None:
         slices.append(tuple_new(ExecutionSlice, (pend_entity, pend_start, cursor)))
 
-    return SliceSet(window, slices, task_runs, irq_runs, schedule_ins, violations)
+    # handed back as plain dicts, so a missing id raises KeyError
+    return SliceSet(
+        window, slices, dict(task_runs), dict(irq_runs), dict(schedule_ins), violations
+    )
 
 
 def validate_consistency(log: EventLog) -> list[ConsistencyViolation]:

@@ -136,7 +136,8 @@ Report = LoadReport | UtilizationReport | StatsReport | TimelineReport
 # computations
 
 
-def _clip_view(view, window: Window) -> Window:
+def clip_view(view, window: Window) -> Window:
+    """`view` cut to `window` (the whole window for None); EmptyWindowError if empty."""
     if view is None:
         clipped = window
     else:
@@ -151,7 +152,7 @@ def _clip_view(view, window: Window) -> Window:
 
 def average_load(s: SliceSet) -> LoadReport:
     """Net time and fraction of the window per entity; idle is task 0's share."""
-    duration = _clip_view(None, s.window).duration_us
+    duration = clip_view(None, s.window).duration_us
     nets = s.net_times()
     rows = [
         LoadRow(entity, net, net / duration)
@@ -173,7 +174,7 @@ def utilization(
     """
     if slot_width_us < 1:
         raise ValueError("slot width must be at least 1 us")
-    clipped = _clip_view(view, s.window)
+    clipped = clip_view(view, s.window)
     view_start, view_end = clipped
     width = slot_width_us
     slots: list[UtilizationSlot] = []
@@ -227,26 +228,18 @@ def task_statistics(s: SliceSet, bins: int = 20) -> StatsReport:
     are the deltas between successive schedule-ins of a task; a task seen
     scheduled in fewer than twice has no period section.
     """
-    duration = _clip_view(None, s.window).duration_us
+    duration = clip_view(None, s.window).duration_us
     rows = []
-    for entity in s.entities():
-        if entity.kind is EntityKind.TASK:
-            runs = s.task_runs[entity.id]
-        else:
-            runs = s.irq_runs[entity.id]
-        samples = [r.net_us for r in runs]
-        net = sum(samples)
+    for entity, runs in s.runs_by_entity().items():
+        execution = _series([r.net_us for r in runs], bins)
+        net = execution.summary.total
         period = None
         if entity.kind is EntityKind.TASK:
             ins = s.schedule_ins.get(entity.id, ())
             if len(ins) >= 2:
                 deltas = [b - a for a, b in zip(ins, ins[1:])]
                 period = _series(deltas, bins)
-        rows.append(
-            EntityStats(
-                entity, net, net / duration, len(runs), _series(samples, bins), period
-            )
-        )
+        rows.append(EntityStats(entity, net, net / duration, len(runs), execution, period))
     return StatsReport(s.window, bins, rows)
 
 
@@ -258,11 +251,12 @@ def _segments(states: list[str], bounds: list[int]) -> list[TimelineSegment]:
     return list(map(tuple.__new__, repeat(TimelineSegment), rows))
 
 
-def _task_timelines(s: SliceSet, view: Window) -> dict[int, list[TimelineSegment]]:
+def _task_tracks(s: SliceSet, view: Window) -> dict[int, tuple[Entity, list[str], list[int]]]:
     # One pass over the slices, walking the runs of all tasks in time order:
     # the runs tile the window, and inside a run the task's own slices are
     # running time and every other slice is irq time.  A state equal to the
-    # previous one extends its segment.
+    # previous one extends its segment.  A track is the task, then the states
+    # and bounds that _segments takes, up to the task's last run in the view.
     view_start, view_end = view
     runs = sorted(
         (run.start, run.end, tid)
@@ -301,18 +295,13 @@ def _task_timelines(s: SliceSet, view: Window) -> dict[int, list[TimelineSegment
                 last = state
             if end == b:
                 break
-    timelines = {}
-    for tid, (_, states, bounds) in tracks.items():
-        if bounds[-1] < view_end:
-            states.append(INACTIVE)
-            bounds.append(view_end)
-        timelines[tid] = _segments(states, bounds)
-    return timelines
+    return tracks
 
 
-def _irq_timeline(runs: list[Run], view: Window) -> list[TimelineSegment]:
+def _irq_track(runs: list[Run], view: Window) -> tuple[list[str], list[int]]:
     # Same-id invocations may overlap when a handler nests within itself, and
     # the replay records them in pop order, so take the union of the spans.
+    # The track ends with the last invocation in the view.
     view_start, view_end = view
     states: list[str] = []
     bounds = [view_start]
@@ -330,10 +319,7 @@ def _irq_timeline(runs: list[Run], view: Window) -> list[TimelineSegment]:
             continue
         states.append(ACTIVE)
         bounds.append(b)
-    if bounds[-1] < view_end:
-        states.append(INACTIVE)
-        bounds.append(view_end)
-    return _segments(states, bounds)
+    return states, bounds
 
 
 def timeline(s: SliceSet, view=None) -> TimelineReport:
@@ -344,15 +330,18 @@ def timeline(s: SliceSet, view=None) -> TimelineReport:
     nested handlers included).  Every entity active anywhere in the window is
     listed, even if it never runs inside a zoomed view.
     """
-    clipped = _clip_view(view, s.window)
-    task_timelines = _task_timelines(s, clipped)
+    clipped = clip_view(view, s.window)
+    task_tracks = _task_tracks(s, clipped)
     entities = []
-    for entity in s.entities():
+    for entity, runs in s.runs_by_entity().items():
         if entity.kind is EntityKind.TASK:
-            segments = task_timelines[entity.id]
+            _, states, bounds = task_tracks[entity.id]
         else:
-            segments = _irq_timeline(s.irq_runs[entity.id], clipped)
-        entities.append(EntityTimeline(entity, segments))
+            states, bounds = _irq_track(runs, clipped)
+        if bounds[-1] < clipped.end:
+            states.append(INACTIVE)
+            bounds.append(clipped.end)
+        entities.append(EntityTimeline(entity, _segments(states, bounds)))
     return TimelineReport(s.window, clipped, entities)
 
 
@@ -418,10 +407,10 @@ def _bins(h: Histogram):
     return zip(h.edges, h.edges[1:], h.counts)
 
 
-def _chunks(lines: Iterable[str], size: int = 2_048) -> Iterator[str]:
-    """The document of `lines`, each newline-terminated, `size` lines a piece."""
+def _chunks(lines: Iterable[str]) -> Iterator[str]:
+    """The document of `lines`, each newline-terminated, 2,048 lines a piece."""
     lines = iter(lines)
-    while batch := list(islice(lines, size)):
+    while batch := list(islice(lines, 2_048)):
         batch.append("")
         yield "\n".join(batch)
 
@@ -693,14 +682,6 @@ _JSON_TABLE = {
     ),
 }
 
-# Each report's json opens with its name and its units.
-_JSON_REPORTS = {
-    LoadReport: ("load", {"time": "us", "utilization": "fraction"}),
-    UtilizationReport: ("utilization", {"time": "us", "utilization": "fraction"}),
-    StatsReport: ("stats", {"time": "us", "share": "fraction"}),
-    TimelineReport: ("timeline", {"time": "us"}),
-}
-
 
 def _json_fields(cls):
     """(key, getter, nested type, is list) per field of a table entry."""
@@ -801,7 +782,7 @@ _JSON_ROWS = {TimelineSegment: _segment_rows, _FRACTION: _fraction_rows}
 
 
 def _json(report: Report) -> Iterator[str]:
-    name, units = _JSON_REPORTS[type(report)]
+    name, units, _, _ = _REPORTS[type(report)]
     header = (f'  "report": {_plain(name)},', f'  "units": {_plain(units, "  ")},')
     members = chain.from_iterable(_json_members(report, type(report), "  ", ""))
     return chain(("{",), header, members, ("}",))
@@ -825,17 +806,26 @@ def _load(data, cls, many=False):
 # dispatch
 
 
-_RENDERERS = {
-    LoadReport: {TEXT: _load_text, CSV: _load_csv, JSON: _json},
-    UtilizationReport: {TEXT: _utilization_text, CSV: _utilization_csv, JSON: _json},
-    StatsReport: {TEXT: _stats_text, CSV: _stats_csv, JSON: _json},
-    TimelineReport: {TEXT: _timeline_text, CSV: _timeline_csv, JSON: _json},
+# The reports, in output order: each type's name, which also opens its json,
+# its json units, and its text and csv renderers.
+_REPORTS = {
+    LoadReport: ("load", {"time": "us", "utilization": "fraction"}, _load_text, _load_csv),
+    UtilizationReport: (
+        "utilization",
+        {"time": "us", "utilization": "fraction"},
+        _utilization_text,
+        _utilization_csv,
+    ),
+    StatsReport: ("stats", {"time": "us", "share": "fraction"}, _stats_text, _stats_csv),
+    TimelineReport: ("timeline", {"time": "us"}, _timeline_text, _timeline_csv),
 }
+REPORT_TYPES = {name: cls for cls, (name, *_) in _REPORTS.items()}
 
 
 def _pieces(report: Report, fmt: str) -> Iterator[str]:
     try:
-        renderer = _RENDERERS[type(report)][fmt]
+        _, _, text, csv = _REPORTS[type(report)]
+        renderer = {TEXT: text, CSV: csv, JSON: _json}[fmt]
     except KeyError:
         raise ValueError(f"cannot render {type(report).__name__} as {fmt!r}") from None
     return _chunks(renderer(report))
@@ -851,11 +841,8 @@ def write_report(report: Report, fmt: str, stream) -> None:
     stream.writelines(_pieces(report, fmt))
 
 
-_FROM_JSON = {name: cls for cls, (name, _) in _JSON_REPORTS.items()}
-
-
 def report_from_json(data) -> Report:
     """Rebuild a report value from rendered json (text or parsed dict)."""
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
-    return _load(data, _FROM_JSON[data["report"]])
+    return _load(data, REPORT_TYPES[data["report"]])

@@ -43,11 +43,10 @@ class UniformFit:
 
 def summarize(samples: Sequence) -> SampleSummary:
     """Count, sum, min, max and mean of a non-empty sample sequence."""
-    xs = list(samples)
-    if not xs:
+    if not samples:
         raise EmptySampleError("cannot summarize zero samples")
-    total = sum(xs)
-    return SampleSummary(len(xs), total, min(xs), max(xs), total / len(xs))
+    total = sum(samples)
+    return SampleSummary(len(samples), total, min(samples), max(samples), total / len(samples))
 
 
 def histogram(samples: Sequence, bins: int = 20) -> Histogram:
@@ -62,18 +61,17 @@ def histogram(samples: Sequence, bins: int = 20) -> Histogram:
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    xs = list(samples)
-    if not xs:
+    if not samples:
         raise EmptySampleError("cannot histogram zero samples")
-    lo = min(xs)
-    hi = max(xs)
+    lo = min(samples)
+    hi = max(samples)
     if lo == hi:
-        return Histogram([float(lo), float(lo + 1)], [len(xs)])
+        return Histogram([float(lo), float(lo + 1)], [len(samples)])
     span = hi - lo
     counts = [0] * bins
     last = bins - 1
     # a bin is a function of the sample value: place each distinct value once
-    for x, ties in Counter(xs).items():
+    for x, ties in Counter(samples).items():
         idx = int((x - lo) * bins // span)
         if idx > last:
             idx = last
@@ -115,28 +113,26 @@ def fit_exponential(samples: Sequence) -> ExponentialFit:
 
     Requires strictly positive samples; raises SampleDomainError otherwise.
     """
-    xs = list(samples)
-    if not xs:
+    if not samples:
         raise EmptySampleError("cannot fit a distribution to zero samples")
-    total = sum(xs)
-    if min(xs) <= 0:
+    total = sum(samples)
+    if min(samples) <= 0:
         raise SampleDomainError("exponential fit requires strictly positive samples")
-    n = len(xs)
+    n = len(samples)
     rate = n / total
     log_likelihood = n * math.log(rate) - rate * total
-    ks = ks_statistic(xs, lambda x: 1.0 - math.exp(-rate * x))
+    ks = ks_statistic(samples, lambda x: 1.0 - math.exp(-rate * x))
     return ExponentialFit(rate, log_likelihood, ks)
 
 
 def fit_uniform(samples: Sequence) -> UniformFit:
     """Uniform fit over the sample extremes; ks is 0 for a degenerate range."""
-    xs = list(samples)
-    if not xs:
+    if not samples:
         raise EmptySampleError("cannot fit a distribution to zero samples")
-    lower = min(xs)
-    upper = max(xs)
+    lower = min(samples)
+    upper = max(samples)
     if lower == upper:
         return UniformFit(lower, upper, 0.0)
     span = upper - lower
-    ks = ks_statistic(xs, lambda x: (x - lower) / span)
+    ks = ks_statistic(samples, lambda x: (x - lower) / span)
     return UniformFit(lower, upper, ks)

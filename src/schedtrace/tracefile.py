@@ -6,9 +6,9 @@ One event per line::
     <0000h 00m 01s 290 838> IRQ begin: 16
     <0000h 00m 01s 290 861> IRQ end: 16
 
-Reading is tolerant: any run of spaces/tabs between tokens, 1 to 18 digits
-per number, LF or CRLF.  Writing is canonical: zero-padded fields, single
-spaces, LF line endings.
+Reading is tolerant: any run of spaces/tabs between tokens, 1 to 18 ASCII
+digits per number, LF or CRLF.  Writing is canonical: zero-padded fields,
+single spaces, LF line endings.
 """
 
 from __future__ import annotations
@@ -44,8 +44,10 @@ class ParseDiagnostic(NamedTuple):
 
 
 # A number has at most 18 digits, so it fits a signed 64-bit integer and
-# int() takes it on every Python (3.11 refuses more than 4300 digits).
-_NUM = r"\d{1,18}"
+# int() takes it on every Python (3.11 refuses more than 4300 digits).  The
+# digits are ASCII: \d would also match other scripts' digits, which int()
+# reads as numbers.
+_NUM = r"[0-9]{1,18}"
 # The h/m/s/ms part of the timestamp is one group: adjacent lines usually
 # share it, so parse_trace converts it only when it changes.
 _EVENT_RE = re.compile(
@@ -111,11 +113,23 @@ def parse_line(text: str) -> TraceEvent:
         raise ParseError(exc.kind, exc.message) from None
 
 
+def _decode(data: bytes) -> str:
+    # an undecodable byte becomes a lone surrogate, which no event (and no
+    # scenario directive) matches, so its line is diagnosed like any other
+    return data.decode("utf-8-sig", "surrogateescape")
+
+
+def read_text(path: str) -> str:
+    """The decoded text of a file path, or of stdin when path is '-'."""
+    if path == "-":
+        return _decode(sys.stdin.buffer.read())
+    with open(path, "rb") as handle:
+        return _decode(handle.read())
+
+
 def _iter_lines(source: Union[str, bytes, IO, Iterable[str]]) -> Iterable[str]:
     if isinstance(source, bytes):
-        # an undecodable byte becomes a lone surrogate, which no event
-        # matches, so its line is diagnosed like any other bad line
-        source = source.decode("utf-8-sig", "surrogateescape")
+        source = _decode(source)
     if isinstance(source, str):
         # only LF ends a line (parse_trace strips a CRLF's CR); splitlines
         # would also break at form feeds and Unicode line separators
@@ -177,10 +191,7 @@ def parse_trace(source, strict: bool = True) -> EventLog:
 
 def parse_trace_file(path: str, strict: bool = True) -> EventLog:
     """Parse a trace from a file path, or from stdin when path is '-'."""
-    if path == "-":
-        return parse_trace(sys.stdin.buffer.read(), strict=strict)
-    with open(path, "rb") as handle:
-        return parse_trace(handle.read(), strict=strict)
+    return parse_trace(read_text(path), strict=strict)
 
 
 def render_event(event: TraceEvent) -> str:

@@ -231,6 +231,84 @@ def test_long_digit_run_is_a_diagnosed_line(field, tmp_path, capsys):
         assert "task 1" in captured.out or captured.out == "no consistency violations\n"
 
 
+# Lines whose numbers the trace format cannot hold: hours past its 4 digits,
+# and digits that are not ASCII (Arabic-Indic zero and three).
+UNREADABLE_NUMBER_LINES = {
+    "hours": (
+        "<10000h 00m 00s 000 000> Task schedule: old 0 new 1",
+        "malformed_timestamp: timestamp field out of range",
+    ),
+    "script-timestamp": (
+        "<٠٠٠٠h 00m 00s 000 000> Task schedule: old 0 new 3",
+        "malformed_timestamp: malformed timestamp",
+    ),
+    "script-id": (
+        "<0000h 00m 00s 000 000> Task schedule: old 0 new ٣",
+        "malformed_payload: malformed event payload",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("case", UNREADABLE_NUMBER_LINES)
+def test_unreadable_number_is_a_diagnosed_line_in_every_format(case, fmt, tmp_path, capsys):
+    line, warning = UNREADABLE_NUMBER_LINES[case]
+    message = warning.split(": ", 1)[1]
+    good = (
+        "<0000h 00m 00s 000 000> Task schedule: old 0 new 1\n"
+        "<0000h 00m 00s 000 200> Task schedule: old 1 new 0\n"
+    )
+    clean = tmp_path / "clean.txt"
+    clean.write_text(good, encoding="utf-8")
+    p = tmp_path / "bad.txt"
+    p.write_text(f"{line}\n{good}", encoding="utf-8")
+    args = ["--report", "load", "--report", "timeline", "--format", fmt]
+    assert run(["analyze", str(p), *args]) == 1
+    assert capsys.readouterr().err.startswith(f"error: line 1: {message}: ")
+    assert run(["analyze", str(clean), *args]) == 0
+    expected = capsys.readouterr().out
+    assert run(["analyze", str(p), *args, "--lenient"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"warning: line 1: {warning}: ")
+    assert captured.out == expected  # the line is dropped, not read as another number
+
+
+def _span_trace(tmp_path, span_us):
+    p = tmp_path / "span.txt"
+    p.write_text(
+        "<0000h 00m 00s 000 000> Task schedule: old 0 new 1\n"
+        f"<0000h 00m 00s {span_us // 1000:03d} {span_us % 1000:03d}> Task schedule: old 1 new 0\n"
+    )
+    return str(p)
+
+
+def test_analyze_slot_count_is_capped(tmp_path, capsys):
+    args = ["--report", "utilization", "--slot-width-us", "1", "-o", str(tmp_path / "out")]
+    assert run(["analyze", _span_trace(tmp_path, 100_001), *args]) == 3
+    assert capsys.readouterr().err == (
+        "error: --slot-width-us 1 makes 100001 slots; at most 100000 fit\n"
+    )
+    assert not (tmp_path / "out" / "utilization.txt").exists()
+    # the cap applies to the zoomed view cut to the window
+    zoom = ["--from-us", "1", "--to-us", "500000"]
+    assert run(["analyze", _span_trace(tmp_path, 100_001), *args, *zoom]) == 0
+    assert run(["analyze", _span_trace(tmp_path, 100_000), *args]) == 0
+    lines = (tmp_path / "out" / "utilization.txt").read_text().splitlines()
+    assert lines[-1].split()[:2] == ["99999", "1"]
+
+
+def test_analyze_removes_a_report_file_whose_writing_fails(trace_file, tmp_path, monkeypatch, capsys):
+    def write_then_fail(report, fmt, stream):
+        stream.write("entity,kind")
+        raise OSError("disk full")
+
+    monkeypatch.setattr("schedtrace.cli.write_report", write_then_fail)
+    out = tmp_path / "out"
+    assert run(["analyze", trace_file, "--report", "load", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert list(out.iterdir()) == []
+
+
 def test_analyze_inconsistent_trace_exit_codes(tmp_path, capsys):
     p = tmp_path / "incons.txt"
     p.write_text(

@@ -20,6 +20,7 @@ def test_timestamp_from_fields():
     assert timestamp_from_fields(0, 0, 1, 290, 602) == 1_290_602
     assert timestamp_from_fields(1, 0, 0, 0, 0) == 3_600_000_000
     assert timestamp_from_fields(0, 59, 59, 999, 999) == 3_599_999_999
+    assert timestamp_from_fields(9999, 59, 59, 999, 999) == MAX_TIMESTAMP_US
 
 
 @pytest.mark.parametrize(
@@ -31,6 +32,7 @@ def test_timestamp_from_fields():
         (0, 0, 0, 0, 1000),
         (-1, 0, 0, 0, 0),
         (0, -1, 0, 0, 0),
+        (10_000, 0, 0, 0, 0),  # the format writes 4 hour digits, so it reads no more
     ],
 )
 def test_timestamp_field_ranges(fields):

@@ -84,6 +84,37 @@ def test_initial_task_defaults_to_idle():
     assert s.net_times() == {Entity.task(0): 6, Entity.irq(4): 4}
 
 
+def test_trace_without_a_switch_charges_idle():
+    log = parse_trace(
+        "<0000h 00m 00s 000 010> IRQ begin: 4\n"
+        "<0000h 00m 00s 000 014> IRQ end: 4\n"
+        "<0000h 00m 00s 000 020> IRQ begin: 4\n"
+        "<0000h 00m 00s 000 025> IRQ end: 4\n"
+    )
+    assert build_slices(log).net_times() == {Entity.task(0): 6, Entity.irq(4): 9}
+
+
+def test_runs_by_entity_lists_tasks_first_ids_ascending():
+    s = build_slices(parse_trace(
+        "<0000h 00m 00s 000 000> Task schedule: old 7 new 5\n"
+        "<0000h 00m 00s 000 010> IRQ begin: 2\n"
+        "<0000h 00m 00s 000 015> IRQ end: 2\n"
+        "<0000h 00m 00s 000 020> Task schedule: old 5 new 3\n"
+        "<0000h 00m 00s 000 030> Task schedule: old 3 new 0\n"
+    ))
+    runs = s.runs_by_entity()
+    assert list(runs) == [Entity.task(3), Entity.task(5), Entity.irq(2)] == s.entities()
+    assert runs == {
+        Entity.task(3): [Run(20, 30, 10)],
+        Entity.task(5): [Run(0, 20, 15)],
+        Entity.irq(2): [Run(10, 15, 5)],
+    }
+    # an id that never ran has no list, and asking for one does not make it
+    for by_id in (s.task_runs, s.irq_runs, s.schedule_ins):
+        with pytest.raises(KeyError):
+            by_id[7]
+
+
 def test_nested_irq_charged_to_inner_handler():
     log = parse_trace(
         "<0000h 00m 00s 000 000> Task schedule: old 0 new 1\n"

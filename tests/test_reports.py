@@ -239,6 +239,23 @@ def test_timeline_merges_segments_across_self_switch():
     ]
 
 
+def test_timeline_merges_touching_invocations_of_one_irq():
+    log = parse_trace(
+        "<0000h 00m 00s 000 000> Task schedule: old 0 new 1\n"
+        "<0000h 00m 00s 000 010> IRQ begin: 5\n"
+        "<0000h 00m 00s 000 020> IRQ end: 5\n"
+        "<0000h 00m 00s 000 020> IRQ begin: 5\n"
+        "<0000h 00m 00s 000 030> IRQ end: 5\n"
+        "<0000h 00m 00s 000 040> Task schedule: old 1 new 0\n"
+    )
+    by_entity = {e.entity: e.segments for e in timeline(build_slices(log)).entities}
+    assert by_entity[Entity.irq(5)] == [
+        TimelineSegment("inactive", 0, 10),
+        TimelineSegment("active", 10, 30),
+        TimelineSegment("inactive", 30, 40),
+    ]
+
+
 def test_load_csv_is_exact(short_slices):
     assert render(average_load(short_slices), "csv") == (
         "entity,kind,net_us,utilization\n"

@@ -102,6 +102,13 @@ def test_fit_uniform_degenerate_has_zero_distance():
     assert fit.ks == 0.0
 
 
+def test_ks_statistic_and_uniform_fit_reject_zero_samples():
+    with pytest.raises(EmptySampleError):
+        ks_statistic([], lambda x: x)
+    with pytest.raises(EmptySampleError):
+        fit_uniform([])
+
+
 def test_ks_statistic_hand_case():
     # uniform cdf on [0, 4]: the largest gap is at the first sample's left side
     d = ks_statistic([1, 2, 3, 4], lambda x: x / 4)

@@ -49,11 +49,15 @@ def test_parse_line_strips_trailing_whitespace():
         ("<0000h 00m 61s 000 000> IRQ begin: 1", DiagnosticKind.MALFORMED_TIMESTAMP),
         ("<0000h 00m 00s 000 1000> IRQ begin: 1", DiagnosticKind.MALFORMED_TIMESTAMP),
         ("<0000h 00m 00s 000> IRQ begin: 1", DiagnosticKind.MALFORMED_TIMESTAMP),
+        ("<10000h 00m 00s 000 000> IRQ begin: 1", DiagnosticKind.MALFORMED_TIMESTAMP),
+        # digits are ASCII: Arabic-Indic digits are no number
+        ("<٠٠٠٠h 00m 00s 000 000> IRQ begin: 1", DiagnosticKind.MALFORMED_TIMESTAMP),
         ("hello world", DiagnosticKind.UNKNOWN_EVENT),
         ("<0000h 00m 00s 000 000> Task yield: 3", DiagnosticKind.UNKNOWN_EVENT),
         ("<0000h 00m 00s 000 000> Task schedule: old x new 2", DiagnosticKind.MALFORMED_PAYLOAD),
         ("<0000h 00m 00s 000 000> IRQ begin: ", DiagnosticKind.MALFORMED_PAYLOAD),
         ("<0000h 00m 00s 000 000> IRQ end: 1 2", DiagnosticKind.MALFORMED_PAYLOAD),
+        ("<0000h 00m 00s 000 000> Task schedule: old 0 new ٣", DiagnosticKind.MALFORMED_PAYLOAD),
     ],
 )
 def test_parse_line_diagnoses_bad_lines(text, kind):
