@@ -136,30 +136,30 @@ def _write(directory: str, name: str, content: str):
         handle.write(content)
 
 
-def _compute(name: str, sliceset, ns):
-    if name == "load":
-        return average_load(sliceset)
-    if name == "utilization":
-        view = clip_view(_view(ns, sliceset), sliceset.window)
-        slots = -(-view.duration_us // ns.slot_width_us)
-        if slots > MAX_SLOTS:
+def _zoom(names, sliceset, ns):
+    """The --from-us/--to-us view or None; first raises what computing `names` would."""
+    window, lo, hi = sliceset.window, ns.from_us, ns.to_us
+    zoom = None
+    if lo is not None or hi is not None:
+        zoom = Window(window.start if lo is None else lo, window.end if hi is None else hi)
+    for name in names:
+        clipped = clip_view(zoom if name in ("utilization", "timeline") else None, window)
+        slots = -(-clipped.duration_us // ns.slot_width_us)
+        if name == "utilization" and slots > MAX_SLOTS:
             raise _UsageError(
                 f"--slot-width-us {ns.slot_width_us} makes {slots} slots; at most {MAX_SLOTS} fit"
             )
-        return utilization(sliceset, ns.slot_width_us, view)
+    return zoom
+
+
+def _compute(name: str, sliceset, ns, zoom):
+    if name == "load":
+        return average_load(sliceset)
+    if name == "utilization":
+        return utilization(sliceset, ns.slot_width_us, zoom)
     if name == "stats":
         return task_statistics(sliceset, ns.bins)
-    return timeline(sliceset, _view(ns, sliceset))
-
-
-def _view(ns, sliceset):
-    lo, hi = ns.from_us, ns.to_us
-    if lo is None and hi is None:
-        return None
-    return Window(
-        sliceset.window.start if lo is None else lo,
-        sliceset.window.end if hi is None else hi,
-    )
+    return timeline(sliceset, zoom)
 
 
 def _warn(diagnostics, violations=(), trace=None):
@@ -189,9 +189,10 @@ def _cmd_analyze(ns) -> int:
         sliceset = build_slices(log, strict=not ns.lenient)
         _warn(log.diagnostics, sliceset.diagnostics, path if multi else None)
         del log  # the reports can reuse the event log's memory
+        zoom = _zoom(reports, sliceset, ns)
         directory = os.path.join(ns.output_dir, _stem(path)) if multi else ns.output_dir
         for name in reports:
-            report = _compute(name, sliceset, ns)
+            report = _compute(name, sliceset, ns, zoom)
             if directory:
                 with _open(directory, f"{name}.{_EXTENSIONS[ns.format]}") as handle:
                     write_report(report, ns.format, handle)

@@ -6,6 +6,8 @@ never goes through floating point, so conservation checks can be exact.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import TYPE_CHECKING, NamedTuple, Union
@@ -116,6 +118,8 @@ class IrqEnd(NamedTuple):
 
 TraceEvent = Union[TaskSchedule, IrqBegin, IrqEnd]
 
+SCHEDULE, IRQ_BEGIN, IRQ_END = range(3)  # the codes of EventLog.kind
+
 
 class Window(NamedTuple):
     """Analysis window: the closed span from the first to the last event."""
@@ -159,16 +163,54 @@ class Run(NamedTuple):
     net_us: int
 
 
+def _event(at: int, kind: int, a: int, b: int) -> TraceEvent:
+    if kind == SCHEDULE:
+        return TaskSchedule(at, a, b)
+    return (IrqBegin if kind == IRQ_BEGIN else IrqEnd)(at, a)
+
+
+class EventView(Sequence):
+    """An EventLog's events, read-only: each tuple is built when it is read."""
+
+    def __init__(self, log: "EventLog"):
+        self._columns = (log.at, log.kind, log.a, log.b)
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        return _event(*(column[index] for column in self._columns))
+
+    def __iter__(self):
+        return map(_event, *self._columns)
+
+    def __eq__(self, other):  # compares like the list of events it stands for
+        return isinstance(other, (EventView, list)) and list(self) == list(other)
+
+
 @dataclass(frozen=True)
 class EventLog:
-    """Parsed trace: events in file order with non-decreasing timestamps."""
+    """Parsed trace: events in file order with non-decreasing timestamps.
 
-    events: list[TraceEvent]
+    Event i is at[i], kind[i] (SCHEDULE, IRQ_BEGIN or IRQ_END), a[i] (the
+    old task or the IRQ id) and b[i] (the new task, 0 for an IRQ event).
+    """
+
+    at: array
+    kind: array
+    a: array
+    b: array
     diagnostics: list["ParseDiagnostic"] = field(default_factory=list)
 
     @property
+    def events(self) -> EventView:
+        return EventView(self)
+
+    @property
     def window(self) -> Window:
-        return Window(self.events[0].at, self.events[-1].at)
+        return Window(self.at[0], self.at[-1])
 
 
 @dataclass(frozen=True)

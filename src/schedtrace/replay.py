@@ -16,16 +16,15 @@ from typing import NamedTuple
 
 from .errors import ConsistencyError, EmptyTraceError
 from .model import (
+    IDLE_TASK_ID,
+    IRQ_END,
+    SCHEDULE,
     Entity,
     EntityKind,
     EventLog,
     ExecutionSlice,
-    IDLE_TASK_ID,
     Run,
     SliceSet,
-    TaskSchedule,
-    IrqEnd,
-    Window,
 )
 
 
@@ -42,14 +41,6 @@ class ConsistencyViolation(NamedTuple):
     detail: str
 
 
-def _initial_task(events) -> int:
-    """The task running at the window start: `old` of the first switch seen."""
-    for ev in events:
-        if type(ev) is TaskSchedule:
-            return ev.old
-    return IDLE_TASK_ID
-
-
 def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
     """Attribute every instant of the analysis window to exactly one entity.
 
@@ -59,12 +50,12 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
     and handlers still open at the end of the trace are closed at the window
     end; every repair is recorded as a diagnostic on the returned SliceSet.
     """
-    events = log.events
-    if not events:
+    if not log.at:
         raise EmptyTraceError("cannot replay an empty event log")
-    window = Window(events[0].at, events[-1].at)
+    window = log.window
 
-    current = _initial_task(events)
+    # the task running at the window start: `old` of the first switch seen
+    current = log.a[log.kind.index(SCHEDULE)] if SCHEDULE in log.kind else IDLE_TASK_ID
     violations: list[ConsistencyViolation] = []
 
     def violation(at, kind, detail):
@@ -94,8 +85,7 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
     stack: list[list] = []
     tuple_new = tuple.__new__  # see the note above ExecutionSlice
 
-    for ev in events:
-        at = ev.at
+    for at, kind, a, b in zip(log.at, log.kind, log.a, log.b):
         if at > cursor:
             if stack:
                 frame = stack[-1]
@@ -111,17 +101,16 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
                 pend_entity = entity
                 pend_start = cursor
             cursor = at
-        kind = type(ev)
-        if kind is TaskSchedule:
-            if ev.old != current:
+        if kind == SCHEDULE:  # a: old task, b: new task
+            if a != current:
                 violation(
                     at,
                     ViolationKind.OLD_TASK_MISMATCH,
-                    f"switch claims old task {ev.old} but task {current} is current",
+                    f"switch claims old task {a} but task {current} is current",
                 )
             if at > run_start:
                 task_runs[current].append(tuple_new(Run, (run_start, at, run_net)))
-            current = ev.new
+            current = b
             current_entity = task_entities.get(current)
             if current_entity is None:
                 current_entity = Entity(EntityKind.TASK, current)
@@ -129,29 +118,28 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
             run_start = at
             run_net = 0
             schedule_ins[current].append(at)
-        elif kind is IrqEnd:
+        elif kind == IRQ_END:  # a: IRQ id
             if not stack:
                 violation(
                     at,
                     ViolationKind.IRQ_END_WITHOUT_BEGIN,
-                    f"IRQ {ev.irq} ends but no handler is open",
+                    f"IRQ {a} ends but no handler is open",
                 )
-            elif stack[-1][0] != ev.irq:
+            elif stack[-1][0] != a:
                 violation(
                     at,
                     ViolationKind.IRQ_END_ID_MISMATCH,
-                    f"IRQ {ev.irq} ends but IRQ {stack[-1][0]} is innermost",
+                    f"IRQ {a} ends but IRQ {stack[-1][0]} is innermost",
                 )
             else:
                 irq_id, begin, net, _ = stack.pop()
                 if at > begin:
                     irq_runs[irq_id].append(tuple_new(Run, (begin, at, net)))
-        else:  # IrqBegin
-            irq_id = ev.irq
-            entity = irq_entities.get(irq_id)
+        else:  # IRQ_BEGIN, a: IRQ id
+            entity = irq_entities.get(a)
             if entity is None:
-                entity = irq_entities[irq_id] = Entity(EntityKind.IRQ, irq_id)
-            stack.append([irq_id, at, 0, entity])
+                entity = irq_entities[a] = Entity(EntityKind.IRQ, a)
+            stack.append([a, at, 0, entity])
 
     if window.end > run_start:
         task_runs[current].append(tuple_new(Run, (run_start, window.end, run_net)))
@@ -180,6 +168,6 @@ def validate_consistency(log: EventLog) -> list[ConsistencyViolation]:
     succeed; recovery between violations follows the lenient rules, because
     these are the repairs of a lenient replay.
     """
-    if not log.events:
+    if not log.at:
         return []
     return build_slices(log, strict=False).diagnostics

@@ -15,11 +15,15 @@ from __future__ import annotations
 
 import re
 import sys
+from array import array
 from enum import Enum
-from typing import IO, Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple
 
 from .errors import EmptyTraceError, ParseError, TimestampRangeError
 from .model import (
+    IRQ_BEGIN,
+    IRQ_END,
+    SCHEDULE,
     EventLog,
     IrqBegin,
     IrqEnd,
@@ -48,22 +52,27 @@ class ParseDiagnostic(NamedTuple):
 # digits are ASCII: \d would also match other scripts' digits, which int()
 # reads as numbers.
 _NUM = r"[0-9]{1,18}"
-# The h/m/s/ms part of the timestamp is one group: adjacent lines usually
-# share it, so parse_trace converts it only when it changes.
+# One match per line: an event's six fields, or all empty for a blank line,
+# or else the line's text (leading spaces, tabs and CRs dropped) in the
+# seventh group.  The timestamp up to its microseconds is one group: adjacent
+# lines usually share it, so parse_trace converts it only when it changes.
 _EVENT_RE = re.compile(
-    rf"<({_NUM}h[ \t]+{_NUM}m[ \t]+{_NUM}s[ \t]+{_NUM})[ \t]+({_NUM})>[ \t]+"
+    rf"^[ \t\r]*(?:<({_NUM}h[ \t]+{_NUM}m[ \t]+{_NUM}s[ \t]+{_NUM}[ \t]+)({_NUM})>[ \t]+"
     rf"(?:Task[ \t]+schedule:[ \t]+old[ \t]+({_NUM})[ \t]+new[ \t]+({_NUM})"
-    rf"|IRQ[ \t]+(?:begin:[ \t]+({_NUM})|end:[ \t]+({_NUM})))"
+    rf"|IRQ[ \t]+(?:begin:[ \t]+({_NUM})|end:[ \t]+({_NUM})))[ \t\r]*$|$|(.*))",
+    re.M,
 )
+_CHUNK = 1 << 16  # characters per findall, so per-line objects never outgrow a slice
+# 0 to 999 written plainly and zero-padded to three digits: every microsecond
+# field of a canonical trace and most ids.  A lookup here is cheaper than int().
+_SMALL = {**{str(i): i for i in range(1000)}, **{f"{i:03d}": i for i in range(1000)}}
 
 
 def _prefix_us(prefix: str) -> int | None:
-    """Microseconds of the h/m/s/ms group of _EVENT_RE, or None if out of range."""
-    hours, minutes, seconds, ms = prefix.split()
+    """Microseconds of the first group of _EVENT_RE, or None if out of range."""
+    h, m, s, ms = prefix.split()
     try:
-        return timestamp_from_fields(
-            int(hours[:-1]), int(minutes[:-1]), int(seconds[:-1]), int(ms), 0
-        )
+        return timestamp_from_fields(int(h[:-1]), int(m[:-1]), int(s[:-1]), int(ms), 0)
     except TimestampRangeError:
         return None
 
@@ -105,10 +114,10 @@ def parse_line(text: str) -> TraceEvent:
     event.
     """
     text = text.strip(" \t\r\n")
-    if not text:  # parse_trace would skip it
+    if not text or "\n" in text:  # parse_trace would skip it, or see two lines
         raise ParseError(*_diagnose(text))
     try:
-        return parse_trace((text,)).events[0]
+        return parse_trace(text).events[0]
     except ParseError as exc:
         raise ParseError(exc.kind, exc.message) from None
 
@@ -127,66 +136,66 @@ def read_text(path: str) -> str:
         return _decode(handle.read())
 
 
-def _iter_lines(source: Union[str, bytes, IO, Iterable[str]]) -> Iterable[str]:
-    if isinstance(source, bytes):
-        source = _decode(source)
-    if isinstance(source, str):
-        # only LF ends a line (parse_trace strips a CRLF's CR); splitlines
-        # would also break at form feeds and Unicode line separators
-        return source.split("\n")
-    return source
-
-
 def parse_trace(source, strict: bool = True) -> EventLog:
     """Parse a whole trace into an EventLog.
 
     `source` may be text, bytes, or an iterable of lines (e.g. an open file).
-    Blank lines are skipped.  Strict mode raises ParseError (with the line
-    number) on the first bad line or backwards timestamp; lenient mode skips
-    each offender and records a diagnostic instead.  A trace yielding zero
-    events raises EmptyTraceError in both modes.
+    In text and bytes only LF ends a line.  The elements of an iterable are
+    joined with LFs, one trailing LF of each removed first, so line numbers
+    count elements unless one holds an LF inside.  Blank lines are skipped.
+    Strict mode raises ParseError (with the line number) on the first bad
+    line or backwards timestamp; lenient mode skips each offender and
+    records a diagnostic instead.  A trace yielding zero events raises
+    EmptyTraceError in both modes.
     """
-    events: list[TraceEvent] = []
+    if not isinstance(source, (str, bytes)):
+        source = "\n".join(line.removesuffix("\n") for line in source)
+    text = _decode(source) if isinstance(source, bytes) else source
+    ats, kinds, firsts, seconds = columns = [array("q") for _ in range(4)]
+    add_at, add_kind, add_a, add_b = ats.append, kinds.append, firsts.append, seconds.append
     diagnostics: list[ParseDiagnostic] = []
-    append = events.append
-    match = _EVENT_RE.fullmatch
-    last_at = 0
-    prefix_key = None
-    prefix_base = None
-    for lineno, raw in enumerate(_iter_lines(source), 1):
-        text = raw.strip(" \t\r\n")
-        if not text:
-            continue
-        at = -1  # stays negative when the grammar or the range rule rejects the line
-        m = match(text)
-        if m is not None:
-            prefix, us, old, new, begin, end = m.groups()
-            if prefix != prefix_key:
-                prefix_key = prefix
-                prefix_base = _prefix_us(prefix)
-            us = int(us)
-            if prefix_base is not None and us < 1000:
-                at = prefix_base + us
-        if at >= last_at:
-            last_at = at
-            if old is not None:
-                append(TaskSchedule(at, int(old), int(new)))
-            elif begin is not None:
-                append(IrqBegin(at, int(begin)))
+    number = _SMALL.get  # number(digits) or int(digits) is int(digits)
+    prefix_key = prefix_base = None
+    last_at = start = lineno = 0
+    while start < len(text):
+        stop = text.find("\n", start + _CHUNK) + 1 or len(text)
+        rows = _EVENT_RE.findall(text, start, stop - (text[stop - 1] == "\n"))
+        for lineno, (prefix, us, old, new, begin, end, rest) in enumerate(rows, lineno + 1):
+            if prefix:
+                if prefix != prefix_key:
+                    prefix_key = prefix
+                    prefix_base = _prefix_us(prefix)
+                at = number(us) or int(us)
+                if prefix_base is not None and at < 1000:
+                    at += prefix_base
+                    if at >= last_at:
+                        last_at = at
+                        add_at(at)
+                        if old:
+                            add_kind(SCHEDULE)
+                            add_a(number(old) or int(old))
+                            add_b(number(new) or int(new))
+                        else:
+                            add_kind(IRQ_BEGIN if begin else IRQ_END)
+                            irq = begin or end
+                            add_a(number(irq) or int(irq))
+                            add_b(0)
+                        continue
+                    kind = DiagnosticKind.NON_MONOTONIC_TIMESTAMP
+                    message = f"timestamp goes backwards ({at} us after {last_at} us)"
+                else:  # the grammar held, so the timestamp alone decides the diagnosis
+                    kind, message = _diagnose(f"<{prefix}{us}>")
+            elif rest:
+                kind, message = _diagnose(rest.rstrip(" \t\r"))
             else:
-                append(IrqEnd(at, int(end)))
-            continue
-        if at < 0:
-            kind, message = _diagnose(text)
-        else:
-            kind = DiagnosticKind.NON_MONOTONIC_TIMESTAMP
-            message = f"timestamp goes backwards ({at} us after {last_at} us)"
-        if strict:
-            raise ParseError(kind, message, line=lineno)
-        diagnostics.append(ParseDiagnostic(lineno, kind, message))
-    if not events:
+                continue
+            if strict:
+                raise ParseError(kind, message, line=lineno)
+            diagnostics.append(ParseDiagnostic(lineno, kind, message))
+        start = stop
+    if not ats:
         raise EmptyTraceError("trace contains no events")
-    return EventLog(events, diagnostics)
+    return EventLog(*columns, diagnostics)
 
 
 def parse_trace_file(path: str, strict: bool = True) -> EventLog:

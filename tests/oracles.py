@@ -6,10 +6,78 @@ model at every single sample -- so they share no code or structure with the
 production arithmetic.  Only usable on small inputs.
 """
 
+import re
 from collections import Counter
 
-from schedtrace import Entity, IrqBegin, IrqEnd, TaskSchedule
+from schedtrace import (
+    EmptyTraceError,
+    Entity,
+    IrqBegin,
+    IrqEnd,
+    ParseDiagnostic,
+    ParseError,
+    TaskSchedule,
+    TimestampRangeError,
+    timestamp_from_fields,
+)
 from schedtrace.model import IDLE_TASK_ID
+from schedtrace.tracefile import DiagnosticKind, _diagnose
+
+_N = "([0-9]{1,18})"
+_LINE_RE = re.compile(
+    rf"<{_N}h[ \t]+{_N}m[ \t]+{_N}s[ \t]+{_N}[ \t]+{_N}>[ \t]+"
+    rf"(?:Task[ \t]+schedule:[ \t]+old[ \t]+{_N}[ \t]+new[ \t]+{_N}"
+    rf"|IRQ[ \t]+(?:begin:[ \t]+{_N}|end:[ \t]+{_N}))"
+)
+
+
+def parse_by_line(source, strict=True):
+    """(events, diagnostics) of a trace read one line at a time.
+
+    The reference for parse_trace: text is split at each LF, every line is
+    stripped of spaces, tabs and CRs and matched on its own, and every
+    timestamp goes through timestamp_from_fields.  An iterable gives one
+    line per element.  Raises ParseError and EmptyTraceError as parse_trace
+    does; bad lines are classified by the same _diagnose.
+    """
+    if isinstance(source, bytes):
+        source = source.decode("utf-8-sig", "surrogateescape")
+    lines = source.split("\n") if isinstance(source, str) else source
+    events, diagnostics = [], []
+    last_at = 0
+    for lineno, raw in enumerate(lines, 1):
+        text = raw.strip(" \t\r\n")
+        if not text:
+            continue
+        m = _LINE_RE.fullmatch(text)
+        at = -1
+        if m is not None:
+            fields = m.groups()
+            try:
+                at = timestamp_from_fields(*map(int, fields[:5]))
+            except TimestampRangeError:
+                pass
+        if at >= last_at:
+            last_at = at
+            old, new, begin, end = fields[5:]
+            if old is not None:
+                events.append(TaskSchedule(at, int(old), int(new)))
+            elif begin is not None:
+                events.append(IrqBegin(at, int(begin)))
+            else:
+                events.append(IrqEnd(at, int(end)))
+            continue
+        if at < 0:
+            kind, message = _diagnose(text)
+        else:
+            kind = DiagnosticKind.NON_MONOTONIC_TIMESTAMP
+            message = f"timestamp goes backwards ({at} us after {last_at} us)"
+        if strict:
+            raise ParseError(kind, message, line=lineno)
+        diagnostics.append(ParseDiagnostic(lineno, kind, message))
+    if not events:
+        raise EmptyTraceError("trace contains no events")
+    return events, diagnostics
 
 
 def owner_by_microsecond(events):
@@ -19,6 +87,7 @@ def owner_by_microsecond(events):
     [t, t+1).  Assumes a consistent trace (balanced IRQ nesting, truthful
     old-task fields).
     """
+    events = list(events)  # an EventLog's view would build a tuple per read
     if not events:
         return
     start = events[0].at

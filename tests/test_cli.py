@@ -6,6 +6,9 @@ import sys
 import pytest
 
 from schedtrace import (
+    IrqBegin,
+    IrqEnd,
+    TaskSchedule,
     average_load,
     build_slices,
     parse_trace,
@@ -295,6 +298,46 @@ def test_analyze_slot_count_is_capped(tmp_path, capsys):
     assert run(["analyze", _span_trace(tmp_path, 100_000), *args]) == 0
     lines = (tmp_path / "out" / "utilization.txt").read_text().splitlines()
     assert lines[-1].split()[:2] == ["99999", "1"]
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (
+            ["--report", "load", "--report", "utilization", "--slot-width-us", "1"],
+            3,
+            "error: --slot-width-us 1 makes 100001 slots; at most 100000 fit\n",
+        ),
+        (
+            ["--report", "load", "--report", "timeline", "--from-us", "200000"],
+            1,
+            "error: no time to analyze in [200000, 100001] us\n",
+        ),
+    ],
+    ids=["slot-cap", "empty-zoom"],
+)
+def test_analyze_checks_the_trace_before_writing_any_report(tmp_path, capsys, args, code, message):
+    trace = _span_trace(tmp_path, 100_001)
+    out = tmp_path / "out"
+    assert run(["analyze", trace, *args, "-o", str(out)]) == code
+    assert capsys.readouterr() == ("", message)
+    assert not out.exists()
+    assert run(["analyze", trace, *args]) == code
+    assert capsys.readouterr() == ("", message)
+
+
+def test_analyze_and_validate_build_no_event_tuples(trace_file, monkeypatch, capsys):
+    def refuse(cls, *fields):
+        raise AssertionError(f"built a {cls.__name__}")
+
+    for cls in (TaskSchedule, IrqBegin, IrqEnd):
+        monkeypatch.setattr(cls, "__new__", refuse)
+    reports = ["--report", "load", "--report", "utilization", "--report", "stats", "--report", "timeline"]
+    assert run(["analyze", trace_file, *reports]) == 0
+    assert run(["validate", trace_file]) == 0
+    assert len(parse_trace(SHORT_TRACE).events) == 10
+    with pytest.raises(AssertionError):
+        parse_trace(SHORT_TRACE).events[0]
 
 
 def test_analyze_removes_a_report_file_whose_writing_fails(trace_file, tmp_path, monkeypatch, capsys):

@@ -1,9 +1,11 @@
 """Trace text parsing: tolerant input, canonical output, diagnostics."""
 
 import random
+import re
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schedtrace import (
@@ -13,13 +15,18 @@ from schedtrace import (
     IrqEnd,
     ParseError,
     TaskSchedule,
+    TraceError,
+    format_timestamp,
+    generate_trace,
     parse_line,
     parse_trace,
     parse_trace_file,
+    random_scenario,
     render_event,
     render_trace,
 )
 from tests.conftest import SHORT_TRACE
+from tests.oracles import parse_by_line
 
 
 def test_parse_line_each_event_kind():
@@ -246,3 +253,171 @@ _event = st.one_of(
 @given(_event)
 def test_render_parse_round_trip_property(ev):
     assert parse_line(render_event(ev)) == ev
+
+
+def _typed(events):
+    # IrqBegin(1, 2) == IrqEnd(1, 2) as tuples, so compare the types too
+    return [(type(ev), ev) for ev in events]
+
+
+def _outcome(parse, source, strict):
+    try:
+        events, diagnostics = parse(source, strict)
+    except ParseError as exc:
+        return "ParseError", exc.line, exc.kind, exc.message
+    except EmptyTraceError:
+        return "EmptyTraceError"
+    return _typed(events), diagnostics
+
+
+def _columns(source, strict):
+    log = parse_trace(source, strict=strict)
+    return log.events, log.diagnostics
+
+
+def _same_as_oracle(source):
+    """The lenient outcome, after checking both modes against parse_by_line."""
+    for strict in (True, False):
+        want = _outcome(parse_by_line, source, strict)
+        assert _outcome(_columns, source, strict) == want
+    return want
+
+
+_JUNK = [b"junk", b"<0000h 00m 00s 000 000> Task yield: 3", b"<0000h 00m 00s 000> IRQ begin: 1",
+         b"<0000h 00m 00s 000 000> IRQ end: 1 2", b"\x0c", b"<>", b"<0000h"]
+
+
+def _edit(lines, edit, i, j):
+    line = lines[i]
+    if edit == "crlf":
+        lines[i] = line + b"\r"
+    elif edit == "tabs":
+        lines[i] = b"\t " + line.replace(b" ", b"\t", j % 4) + b" \t"
+    elif edit == "blank":
+        lines.insert(i, b" \t\r"[: j % 4])
+    elif edit == "junk":
+        lines.insert(i, _JUNK[j % len(_JUNK)])
+    elif edit == "backwards":
+        lines.insert(i, lines[j % (i + 1)])
+    elif edit == "range":  # 1000 us, 60 m, 60 s or 1000 ms
+        field = (rb"[0-9]+>", rb"[0-9]+m", rb"[0-9]+s", rb"[0-9]+ [0-9]+>")[j % 4]
+        value = (b"1000>", b"60m", b"60s", b"1000 000>")[j % 4]
+        lines[i] = re.sub(field, value, line, count=1)
+    elif edit == "digits19":  # one digit run grows to 19 digits
+        runs = list(re.finditer(rb"[0-9]+", line))
+        if runs:
+            run = runs[j % len(runs)]
+            lines[i] = line[: run.start()] + b"1" * 19 + line[run.end():]
+    else:  # non-UTF-8 byte
+        lines[i] = line[: j % (len(line) + 1)] + b"\xff" + line[j % (len(line) + 1):]
+
+
+_EDITS = ("crlf", "tabs", "blank", "junk", "backwards", "range", "digits19", "non_utf8")
+
+
+@st.composite
+def _dirty_traces(draw):
+    text, _ = generate_trace(random_scenario(draw(st.integers(0, 10_000)), n_runs=8))
+    lines = [line.encode() for line in text.split("\n")[:-1]]
+    for edit in draw(st.lists(st.sampled_from(_EDITS), max_size=10)):
+        _edit(lines, edit, draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, 1000)))
+    return b"\n".join(lines) + draw(st.sampled_from([b"", b"\n", b"\r\n", b"\n\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dirty_traces())
+def test_parse_trace_matches_the_line_by_line_oracle(data):
+    # same events, same diagnostics (line, kind, message), same strict error
+    _same_as_oracle(data)
+
+
+_FRAGMENTS = [b"<", b">", b"0000h ", b"00m ", b"00s ", b"999 ", b"1000", b"Task schedule: old 1 new 2",
+              b"IRQ begin: 3", b"IRQ end: 3", b"\n", b"\r\n", b"\r", b"\t", b" ", b"\xff",
+              b"\xef\xbb\xbf", b"7" * 19, b"\xe2\x80\xa8"]
+
+
+@settings(deadline=None)
+@given(st.one_of(st.binary(), st.lists(st.sampled_from(_FRAGMENTS)).map(b"".join)))
+def test_parse_trace_raises_only_trace_errors_on_any_bytes(data):
+    for strict in (False, True):
+        try:
+            parse_trace(data, strict=strict)
+        except TraceError:
+            pass
+
+
+_DIRTY = (
+    "\n"
+    "<0000h 00m 00s 000 010> IRQ begin: 1\r\n"
+    "not a trace line\n"
+    " \t\n"
+    "<0000h 00m 00s 000 1000> IRQ end: 1\n"
+    "<0000h 00m 00s 000 020> IRQ end: 1\n"
+    "<0000h 00m 00s 000 005> IRQ begin: 2\n"
+    "<0000h 00m 00s 000 030> Task schedule: old 0 new 0\r\n"
+    "<0000h 00m 00s 000 030> IRQ begin: 1234567890123456789\n"
+)
+
+
+def test_every_source_type_numbers_lines_alike(tmp_path):
+    path = tmp_path / "dirty.txt"
+    path.write_bytes(_DIRTY.encode())
+    lines = _DIRTY.split("\n")[:-1]
+    want = _same_as_oracle(_DIRTY)
+    assert [d.line for d in want[1]] == [3, 5, 7, 9]
+    for source in (_DIRTY.encode(), lines, [line + "\n" for line in lines]):
+        assert _same_as_oracle(source) == want
+    with open(path) as handle:
+        assert _outcome(_columns, handle, False) == want
+    with open(path) as handle, pytest.raises(ParseError) as exc:
+        parse_trace(handle)
+    assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("chunk", [0, 1, 7, 60, 200])
+def test_slices_cut_anywhere_give_the_same_lines(monkeypatch, chunk):
+    monkeypatch.setattr("schedtrace.tracefile._CHUNK", chunk)
+    text, _ = generate_trace(random_scenario(5, n_runs=80))
+    lines = text.split("\n")[:-1]
+    # bad, out-of-range and blank lines at every distance from a slice edge
+    bad = ["", "junk", "<0000h 00m 00s 000 1000> IRQ end: 1", " \t", "<0000h 61m 00s 000 000> IRQ end: 1"]
+    for i in range(len(lines), 0, -2):
+        lines.insert(i, bad[i % len(bad)])
+    text = "\n".join(lines)
+    events, diagnostics = _same_as_oracle(text)
+    assert len(events) > 200 and len(diagnostics) > 50
+    assert _same_as_oracle(text + "\n") == (events, diagnostics)
+
+
+def test_parse_peaks_at_a_few_words_per_event():
+    # ids that never repeat: no memory of the parse may grow with distinct numbers
+    n = 100_000
+    text = "".join(
+        f"<{format_timestamp(i * 7)}> Task schedule: old {i} new {i + 1}\n" for i in range(n)
+    )
+    tracemalloc.start()
+    try:
+        log = parse_trace(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(log.at) == n
+    assert peak <= 64 * n, f"{peak / n:.0f} B per event"
+
+
+def test_events_view_builds_each_event_on_access():
+    log = parse_trace(SHORT_TRACE)
+    events = log.events
+    expected = parse_by_line(SHORT_TRACE)[0]
+    assert len(events) == 10
+    assert events == expected and expected == events
+    assert events != expected[:-1] and events != tuple(expected)
+    assert _typed(events) == _typed(expected)
+    assert events[-1] == expected[-1] and events[3] == IrqBegin(1_290_838, 16)
+    assert events[2:5] == expected[2:5]
+    assert list(reversed(events)) == expected[::-1]
+    assert events.index(expected[4]) == 4
+    with pytest.raises(IndexError):
+        events[10]
+    with pytest.raises(TypeError):
+        events[0] = expected[0]
