@@ -18,6 +18,7 @@ from .replay import build_slices, validate_consistency
 from .reports import (
     CSV,
     FORMATS,
+    MAX_SLOTS,
     REPORT_TYPES,
     TEXT,
     average_load,
@@ -28,6 +29,7 @@ from .reports import (
     utilization,
     write_report,
 )
+from .stats import MAX_BINS
 from .synthgen import Scenario, generate_trace, manifest_csv, parse_script
 from .tracefile import parse_trace_file, read_text
 
@@ -36,8 +38,6 @@ EXIT_TRACE_ERROR = 1
 EXIT_CONSISTENCY = 2
 EXIT_USAGE = 3
 
-MAX_BINS = 10_000  # a histogram holds a list of this length per sample series
-MAX_SLOTS = 100_000  # a utilization report holds one slot value per slot
 _EXTENSIONS = {"text": "txt", "csv": "csv", "json": "json"}
 
 

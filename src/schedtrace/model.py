@@ -132,12 +132,10 @@ class Window(NamedTuple):
         return self.end - self.start
 
 
-# Replay builds a slice and a run per scheduling event, and the timeline a
-# segment per state change: millions on a long trace.  Those hot loops call
-# tuple.__new__(Cls, values) directly.  It builds the same tuple while it
-# skips the Python-level __new__ that NamedTuple generates, which makes the
-# replay and the timeline of a million-event trace a quarter to a third
-# faster.
+# Slices and timeline segments are columns (see `tiling`).  Replay builds a
+# Run per dispatch and invocation, millions on a long trace, with
+# tuple.__new__(Run, values): the same tuple without the Python-level __new__
+# that NamedTuple generates, which makes that replay about a seventh faster.
 class ExecutionSlice(NamedTuple):
     """Maximal interval [start, end) charging the processor to one entity."""
 
@@ -169,25 +167,34 @@ def _event(at: int, kind: int, a: int, b: int) -> TraceEvent:
     return (IrqBegin if kind == IRQ_BEGIN else IrqEnd)(at, a)
 
 
-class EventView(Sequence):
-    """An EventLog's events, read-only: each tuple is built when it is read."""
+class ColumnView(Sequence):
+    """Rows over parallel columns, read-only: row i is built from the columns'
+    i-th values when it is read.  It equals, and slices as, the list of its rows."""
 
-    def __init__(self, log: "EventLog"):
-        self._columns = (log.at, log.kind, log.a, log.b)
+    def __init__(self, row, *columns):
+        self.row = row
+        self.columns = columns
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return len(self.columns[0])
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return list(self)[index]
-        return _event(*(column[index] for column in self._columns))
+            return list(map(self.row, *(column[index] for column in self.columns)))
+        return self.row(*[column[index] for column in self.columns])
 
     def __iter__(self):
-        return map(_event, *self._columns)
+        return map(self.row, *self.columns)
 
-    def __eq__(self, other):  # compares like the list of events it stands for
-        return isinstance(other, (EventView, list)) and list(self) == list(other)
+    def __eq__(self, other):
+        return isinstance(other, (ColumnView, list)) and list(self) == list(other)
+
+
+def tiling(row, labels, bounds: array) -> ColumnView:
+    """The rows (labels[i], bounds[i], bounds[i + 1]) of spans that tile, each
+    starting where the one before it ends: len(labels) + 1 bounds."""
+    edges = memoryview(bounds)
+    return ColumnView(row, labels, edges[:-1], edges[1:])
 
 
 @dataclass(frozen=True)
@@ -205,8 +212,8 @@ class EventLog:
     diagnostics: list["ParseDiagnostic"] = field(default_factory=list)
 
     @property
-    def events(self) -> EventView:
-        return EventView(self)
+    def events(self) -> ColumnView:
+        return ColumnView(_event, self.at, self.kind, self.a, self.b)
 
     @property
     def window(self) -> Window:
@@ -218,16 +225,23 @@ class SliceSet:
     """Complete attribution of an analysis window to execution entities.
 
     Slices are pairwise disjoint, time ordered, and tile
-    [window.start, window.end) exactly; dispatch and invocation runs carry the
-    sample boundaries that the statistics reports draw from.
+    [window.start, window.end) exactly: slice i charges owners[i] from
+    bounds[i] to bounds[i + 1], and `slices` builds each ExecutionSlice when it
+    is read.  Dispatch and invocation runs carry the sample boundaries that
+    the statistics reports draw from.
     """
 
     window: Window
-    slices: list[ExecutionSlice]
+    owners: list[Entity]
+    bounds: array
     task_runs: dict[int, list[Run]]
     irq_runs: dict[int, list[Run]]
     schedule_ins: dict[int, list[int]]
     diagnostics: list["ConsistencyViolation"] = field(default_factory=list)
+
+    @property
+    def slices(self) -> ColumnView:
+        return tiling(ExecutionSlice, self.owners, self.bounds)
 
     def runs_by_entity(self) -> dict[Entity, list[Run]]:
         """Runs of every entity that was scheduled or invoked, tasks first, ids ascending."""

@@ -10,6 +10,7 @@ truncated to what the trace shows.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from enum import Enum
 from typing import NamedTuple
@@ -22,7 +23,6 @@ from .model import (
     Entity,
     EntityKind,
     EventLog,
-    ExecutionSlice,
     Run,
     SliceSet,
 )
@@ -49,6 +49,9 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
     field resyncs the current task to `new`, an unmatched IRQ end is dropped,
     and handlers still open at the end of the trace are closed at the window
     end; every repair is recorded as a diagnostic on the returned SliceSet.
+
+    The slices are two columns: the entity each charges, and the
+    len(owners) + 1 times that bound them (see SliceSet).
     """
     if not log.at:
         raise EmptyTraceError("cannot replay an empty event log")
@@ -64,26 +67,27 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
             raise ConsistencyError(found)
         violations.append(found)
 
-    slices: list[ExecutionSlice] = []
+    owners: list[Entity] = []
+    bounds = array("q")
     task_runs: defaultdict[int, list[Run]] = defaultdict(list)
     irq_runs: defaultdict[int, list[Run]] = defaultdict(list)
     schedule_ins: defaultdict[int, list[int]] = defaultdict(list)
 
-    # Interned Entity values: the open slice is extended while the charged
+    # Interned Entity values: the last slice is extended while the charged
     # entity stays the same object.
     task_entities: dict[int, Entity] = {}
     irq_entities: dict[int, Entity] = {}
     current_entity = Entity(EntityKind.TASK, current)
     task_entities[current] = current_entity
-    pend_entity: Entity | None = None
-    pend_start = cursor = window.start
+    owner: Entity | None = None  # of the last slice
+    cursor = window.start
 
     run_start = window.start
     run_net = 0
     # Open handler frames, innermost last:
     # [irq id, begin at, direct net us, handler entity].
     stack: list[list] = []
-    tuple_new = tuple.__new__  # see the note above ExecutionSlice
+    tuple_new = tuple.__new__  # see the note above model.ExecutionSlice
 
     for at, kind, a, b in zip(log.at, log.kind, log.a, log.b):
         if at > cursor:
@@ -94,12 +98,10 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
             else:
                 run_net += at - cursor
                 entity = current_entity
-            if entity is not pend_entity:
-                if pend_entity is not None:
-                    pending = (pend_entity, pend_start, cursor)
-                    slices.append(tuple_new(ExecutionSlice, pending))
-                pend_entity = entity
-                pend_start = cursor
+            if entity is not owner:
+                owners.append(entity)
+                bounds.append(cursor)
+                owner = entity
             cursor = at
         if kind == SCHEDULE:  # a: old task, b: new task
             if a != current:
@@ -152,12 +154,11 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
         )
         if window.end > begin:
             irq_runs[irq_id].append(tuple_new(Run, (begin, window.end, net)))
-    if pend_entity is not None:
-        slices.append(tuple_new(ExecutionSlice, (pend_entity, pend_start, cursor)))
+    bounds.append(cursor)  # the window end
 
     # handed back as plain dicts, so a missing id raises KeyError
     return SliceSet(
-        window, slices, dict(task_runs), dict(irq_runs), dict(schedule_ins), violations
+        window, owners, bounds, dict(task_runs), dict(irq_runs), dict(schedule_ins), violations
     )
 
 

@@ -11,15 +11,17 @@ durations.  Fractions are printed with six decimal places.
 from __future__ import annotations
 
 import json
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from math import isfinite
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, lt
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EmptyWindowError
 from .model import (
+    ColumnView,
     Entity,
     EntityKind,
     IDLE,
@@ -27,6 +29,7 @@ from .model import (
     SliceSet,
     Window,
     format_timestamp,
+    tiling,
 )
 from .stats import (
     ExponentialFit,
@@ -46,6 +49,7 @@ ACTIVE = "active"
 
 TEXT, CSV, JSON = "text", "csv", "json"
 FORMATS = (TEXT, CSV, JSON)
+MAX_SLOTS = 100_000  # a utilization report holds one slot value per slot
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +120,26 @@ class TimelineSegment(NamedTuple):
     end_us: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EntityTimeline:
+    """An entity's segments, which tile a span: their states and the
+    len(states) + 1 bounds between them, and `segments` builds each one when
+    it is read.  The constructor takes a list of segments; ValueError unless
+    each ends after it starts and the next starts where it ends."""
+
     entity: Entity
-    segments: list[TimelineSegment]
+    states: list[str]
+    bounds: array
+
+    def __init__(self, entity: Entity, segments: list[TimelineSegment]):
+        states, starts, ends = [list(column) for column in zip(*segments)] or ([], [], [])
+        if starts[1:] != ends[:-1] or not all(map(lt, starts, ends)):
+            raise ValueError("timeline segments must tile their span")
+        vars(self).update(entity=entity, states=states, bounds=array("q", starts[:1] + ends))
+
+    @property
+    def segments(self) -> ColumnView:
+        return tiling(TimelineSegment, self.states, self.bounds)
 
 
 @dataclass(frozen=True)
@@ -171,24 +191,25 @@ def utilization(
     Slots start at the view start and are slot_width_us wide; a final slot
     cut short by the view end is normalized by its actual span and flagged
     partial.  Entities with no charge inside a slot are omitted from it.
+    ValueError if that makes more than MAX_SLOTS slots.
     """
     if slot_width_us < 1:
         raise ValueError("slot width must be at least 1 us")
     clipped = clip_view(view, s.window)
     view_start, view_end = clipped
     width = slot_width_us
+    if -(-clipped.duration_us // width) > MAX_SLOTS:
+        raise ValueError(f"slot width {width} us makes more than {MAX_SLOTS} slots")
     slots: list[UtilizationSlot] = []
     acc: dict[Entity, int] = {}  # the open slot's charge per entity
     slot_start = view_start
     slot_end = min(view_start + width, view_end)
-    slices = s.slices
-    first = bisect_right(slices, view_start, key=itemgetter(2))
-    entity, a, b = slices[first]
-    head = (entity, max(a, view_start), b)  # it may start before the view
+    first = bisect_right(s.bounds, view_start) - 1  # the slice holding the view start
+    ends = memoryview(s.bounds)[first + 1 :]
     # Slices tile the window in time order.  One walk charges each into the
     # open slot; a slice reaching the slot's end closes that slot and each
     # later slot it covers whole.  The walk ends when the last slot closes.
-    for entity, a, b in chain((head,), islice(slices, first + 1, None)):
+    for entity, a, b in zip(islice(s.owners, first, None), chain((view_start,), ends), ends):
         if b < slot_end:
             acc[entity] = acc.get(entity, 0) + (b - a)
             continue
@@ -243,68 +264,55 @@ def task_statistics(s: SliceSet, bins: int = 20) -> StatsReport:
     return StatsReport(s.window, bins, rows)
 
 
-def _segments(states: list[str], bounds: list[int]) -> list[TimelineSegment]:
-    # Segments tile the view, so a timeline is kept as its states plus the
-    # boundaries between them.  On tuple.__new__ see the note above
-    # model.ExecutionSlice.
-    rows = zip(states, bounds, bounds[1:])
-    return list(map(tuple.__new__, repeat(TimelineSegment), rows))
-
-
-def _task_tracks(s: SliceSet, view: Window) -> dict[int, tuple[Entity, list[str], list[int]]]:
-    # One pass over the slices, walking the runs of all tasks in time order:
-    # the runs tile the window, and inside a run the task's own slices are
-    # running time and every other slice is irq time.  A state equal to the
-    # previous one extends its segment.  A track is the task, then the states
-    # and bounds that _segments takes, up to the task's last run in the view.
+def _task_tracks(s: SliceSet, view: Window) -> dict[int, tuple[list[str], array]]:
+    # One walk over the slices in the view, cut where the runs of all tasks
+    # end: the runs tile the window, and inside a run the task's own slices
+    # are running time and every irq slice is preempted.  A state equal to the
+    # previous one extends its segment.  A track is the states and bounds of
+    # an EntityTimeline, up to the task's last run in the view.
     view_start, view_end = view
-    runs = sorted(
-        (run.start, run.end, tid)
-        for tid, task_runs in s.task_runs.items()
-        for run in task_runs
-    )
-    tracks = {
-        tid: (Entity(EntityKind.TASK, tid), [], [view_start]) for tid in s.task_runs
-    }
-    slices = s.slices
-    i = bisect_right(slices, view_start, key=itemgetter(1)) - 1
-    for a, b, tid in runs:
-        if a < view_start:
-            a = view_start
-        if b > view_end:
-            b = view_end
-        if a >= b:
-            continue
-        entity, states, bounds = tracks[tid]
-        if a > bounds[-1]:
-            states.append(INACTIVE)
-            bounds.append(a)
-        last = states[-1] if states else None
+    task_of = {run.start: tid for tid, runs in s.task_runs.items() for run in runs}
+    starts = sorted(task_of)  # each run ends where the next starts
+    k = bisect_right(starts, view_start) - 1  # the run holding the view start
+    runs = zip(islice(starts, k, None), chain(islice(starts, k + 1, None), (s.window.end,)))
+    tracks = {tid: ([], array("q", (view_start,))) for tid in s.task_runs}
+    i = bisect_right(s.bounds, view_start) - 1
+    # the walk opens on an empty run ending at the view start, outside any track
+    states, bounds, last, b = [], array("q"), None, view_start
+    for owner, end in zip(islice(s.owners, i, None), islice(s.bounds, i + 1, None)):
+        state = PREEMPTED_BY_IRQ if owner.kind else RUNNING
         while True:
-            owner, _, end = slices[i]
-            if end > b:
-                end = b  # the slice goes on into the next run
-            else:
-                i += 1
-            state = RUNNING if owner == entity else PREEMPTED_BY_IRQ
+            cut = end if end < b else b
             if state is last:
-                bounds[-1] = end
+                bounds[-1] = cut
             else:
                 states.append(state)
-                bounds.append(end)
+                bounds.append(cut)
                 last = state
-            if end == b:
+            if cut < b:
+                break
+            if b == view_end:
+                return tracks
+            a, b = next(runs)  # the run ends: open the next one
+            states, bounds = tracks[task_of[a]]
+            if b > view_end:
+                b = view_end
+            if a > bounds[-1]:
+                states.append(INACTIVE)
+                bounds.append(a)
+            last = states[-1] if states else None
+            if cut == end:
                 break
     return tracks
 
 
-def _irq_track(runs: list[Run], view: Window) -> tuple[list[str], list[int]]:
+def _irq_track(runs: list[Run], view: Window) -> tuple[list[str], array]:
     # Same-id invocations may overlap when a handler nests within itself, and
     # the replay records them in pop order, so take the union of the spans.
     # The track ends with the last invocation in the view.
     view_start, view_end = view
     states: list[str] = []
-    bounds = [view_start]
+    bounds = array("q", (view_start,))
     for run_start, run_end, _ in sorted(runs):
         a = run_start if run_start > view_start else view_start
         b = run_end if run_end < view_end else view_end
@@ -335,13 +343,15 @@ def timeline(s: SliceSet, view=None) -> TimelineReport:
     entities = []
     for entity, runs in s.runs_by_entity().items():
         if entity.kind is EntityKind.TASK:
-            _, states, bounds = task_tracks[entity.id]
+            states, bounds = task_tracks[entity.id]
         else:
             states, bounds = _irq_track(runs, clipped)
         if bounds[-1] < clipped.end:
             states.append(INACTIVE)
             bounds.append(clipped.end)
-        entities.append(EntityTimeline(entity, _segments(states, bounds)))
+        track = EntityTimeline.__new__(EntityTimeline)  # it tiles: taken without a check
+        vars(track).update(entity=entity, states=states, bounds=bounds)
+        entities.append(track)
     return TimelineReport(s.window, clipped, entities)
 
 
@@ -561,22 +571,20 @@ def _timeline_text(report: TimelineReport) -> Iterator[str]:
     for ent in report.entities:
         prefix = "  " + ent.entity.label.ljust(label_w) + "  "
         heads = {}
-        # segments tile the view, so a line's padded end_us is usually the
-        # next line's start_us
-        prev_end = prev_text = None
-        for state, a, b in ent.segments:
+        bounds = ent.bounds
+        # segments tile: a line's padded end_us is the next line's start_us
+        a_text = str(bounds[0]).rjust(ts_w) if bounds else ""
+        for state, a, b in zip(ent.states, bounds, islice(bounds, 1, None)):
             head = heads.get(state)
             if head is None:
                 head = heads[state] = prefix + state.ljust(16) + "  "
-            a_text = prev_text if a == prev_end else str(a).rjust(ts_w)
             b_text = str(b).rjust(ts_w)
             d = b - a
             dur = durations.get(d)
             if dur is None:
                 dur = durations[d] = human_duration(d)
             yield f"{head}{a_text}  {b_text}  {dur}"
-            prev_end = b
-            prev_text = b_text
+            a_text = b_text
 
 
 def _timeline_csv(report: TimelineReport) -> Iterator[str]:
@@ -584,7 +592,7 @@ def _timeline_csv(report: TimelineReport) -> Iterator[str]:
     for ent in report.entities:
         eid = ent.entity.id
         kind = ent.entity.kind_name
-        for state, a, b in ent.segments:
+        for state, a, b in zip(ent.states, ent.bounds, islice(ent.bounds, 1, None)):
             yield f"{eid},{kind},{state},{a},{b}"
 
 
@@ -733,13 +741,15 @@ def _json_value(value, cls, many, pad, head, tail) -> Iterator[str]:
         return chain((head + "{",), members, (pad + "}" + tail,))
     last = len(value) - 1
     rows = _JSON_ROWS.get(cls)
-    if rows is not None:
-        items = rows(islice(value, last), inner)
+    if rows is not None:  # rows of cells, plain tuples: a view's are its columns zipped
+        cells = zip(*value.columns) if isinstance(value, ColumnView) else iter(value)
+        items = rows(islice(cells, last), inner, ",")
+        last_item = rows(cells, inner, "")  # the one row left
     else:
         items = chain.from_iterable(
             _json_value(item, cls, False, inner, inner, ",") for item in islice(value, last)
         )
-    last_item = _json_value(value[last], cls, False, inner, inner, "")
+        last_item = _json_value(value[last], cls, False, inner, inner, "")
     return chain((head + "[",), items, last_item, (pad + "]" + tail,))
 
 
@@ -759,22 +769,22 @@ def _keys(cls) -> list[str]:
     return [k for key, _, n, _ in _JSON_FIELDS[cls] for k in (_keys(n) if key is None else [key])]
 
 
-# The long lists (segments, a slot's fractions) write each row but the last
-# in one f-string, around _row_text: opening and first key, later keys, close.
-def _row_text(cls, pad) -> list[str]:
+# The long lists (segments, a slot's fractions) write each row in one
+# f-string, around _row_text: opening and first key, later keys, close, tail.
+def _row_text(cls, pad, tail) -> list[str]:
     first, *rest = (f'\n  {pad}"{k}": ' for k in _keys(cls))
-    return [pad + "{" + first, *("," + k for k in rest), f"\n{pad}}},"]
+    return [pad + "{" + first, *("," + k for k in rest), f"\n{pad}}}{tail}"]
 
 
-def _segment_rows(segments, pad) -> Iterator[str]:
-    head, k2, k3, close = _row_text(TimelineSegment, pad)
-    for state, a, b in segments:
+def _segment_rows(cells, pad, tail) -> Iterator[str]:
+    head, k2, k3, close = _row_text(TimelineSegment, pad, tail)
+    for state, a, b in cells:
         yield f"{head}{_STRINGS.get(state) or _plain(state)}{k2}{a}{k3}{b}{close}"
 
 
-def _fraction_rows(fractions, pad) -> Iterator[str]:
-    head, k2, k3, close = _row_text(_FRACTION, pad)
-    for entity, fraction in fractions:
+def _fraction_rows(cells, pad, tail) -> Iterator[str]:
+    head, k2, k3, close = _row_text(_FRACTION, pad, tail)
+    for entity, fraction in cells:
         yield f"{head}{_plain(entity.kind_name)}{k2}{entity.id}{k3}{fraction!r}{close}"
 
 

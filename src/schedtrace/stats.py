@@ -9,6 +9,8 @@ from typing import Callable, Sequence
 
 from .errors import EmptySampleError, SampleDomainError
 
+MAX_BINS = 10_000  # a histogram holds a list of this length per sample series
+
 
 @dataclass(frozen=True)
 class SampleSummary:
@@ -58,9 +60,10 @@ def histogram(samples: Sequence, bins: int = 20) -> Histogram:
     The bin index is computed as (x - min) * bins // (max - min), which is
     exact for the integer microsecond samples the reports pass; dividing by
     a float width instead puts some samples that lie on an edge one bin low.
+    `bins` is 1 to MAX_BINS.
     """
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
+    if not 1 <= bins <= MAX_BINS:
+        raise ValueError(f"bins must be from 1 to {MAX_BINS}")
     if not samples:
         raise EmptySampleError("cannot histogram zero samples")
     lo = min(samples)

@@ -2,7 +2,17 @@
 
 import pytest
 
-from schedtrace import Entity, EventLog, SliceSet, build_slices, parse_trace
+from schedtrace import (
+    Entity,
+    EventLog,
+    IrqSpec,
+    Scenario,
+    ScenarioRun,
+    SliceSet,
+    build_slices,
+    generate_trace,
+    parse_trace,
+)
 
 # Ten events spanning 628 us, with one IRQ landing inside task 4 and one
 # inside task 5.  All expected numbers below are worked out by hand from
@@ -44,3 +54,12 @@ def short_log() -> EventLog:
 @pytest.fixture(scope="session")
 def short_slices(short_log) -> SliceSet:
     return build_slices(short_log)
+
+
+def gate_shaped_trace(n_runs: int) -> str:
+    """5 * n_runs events in the shape of the 1e6-event gate trace: tasks 1 to
+    8 in turn, each run holding invocations of IRQs 31 and 32; no two events
+    share a timestamp, so a slice starts at each event."""
+    double = (IrqSpec(31, 1, 1), IrqSpec(32, 3, 1))
+    runs = tuple(ScenarioRun(1 + i % 8, 5, double) for i in range(n_runs))
+    return generate_trace(Scenario(0, runs))[0]

@@ -6,9 +6,11 @@ import sys
 import pytest
 
 from schedtrace import (
+    ExecutionSlice,
     IrqBegin,
     IrqEnd,
     TaskSchedule,
+    TimelineSegment,
     average_load,
     build_slices,
     parse_trace,
@@ -338,6 +340,24 @@ def test_analyze_and_validate_build_no_event_tuples(trace_file, monkeypatch, cap
     assert len(parse_trace(SHORT_TRACE).events) == 10
     with pytest.raises(AssertionError):
         parse_trace(SHORT_TRACE).events[0]
+
+
+@pytest.mark.parametrize(
+    "zoom", [[], ["--from-us", "1290700", "--to-us", "1291100"]], ids=["whole", "zoom"]
+)
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_analyze_builds_no_slice_or_segment_tuples(trace_file, monkeypatch, capsys, fmt, zoom):
+    def refuse(cls, *fields):
+        raise AssertionError(f"built a {cls.__name__}")
+
+    for cls in (ExecutionSlice, TimelineSegment):
+        monkeypatch.setattr(cls, "__new__", refuse)
+    reports = ["--report", "load", "--report", "utilization", "--report", "stats", "--report", "timeline"]
+    assert run(["analyze", trace_file, *reports, "--format", fmt, *zoom]) == 0
+    assert "preempted_by_irq" in capsys.readouterr().out
+    s = build_slices(parse_trace(SHORT_TRACE))
+    assert len(s.slices) == 9
+    assert [len(e.segments) for e in timeline(s).entities] == [3, 3, 2, 5, 4, 3, 3]
 
 
 def test_analyze_removes_a_report_file_whose_writing_fails(trace_file, tmp_path, monkeypatch, capsys):

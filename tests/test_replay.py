@@ -1,5 +1,7 @@
 """Charge accounting: slices, runs, nesting, recovery from bad traces."""
 
+import tracemalloc
+
 import pytest
 
 from schedtrace import (
@@ -17,7 +19,7 @@ from schedtrace import (
     random_scenario,
     validate_consistency,
 )
-from tests.conftest import SHORT_END, SHORT_NETS, SHORT_SPAN, SHORT_START
+from tests.conftest import SHORT_END, SHORT_NETS, SHORT_SPAN, SHORT_START, gate_shaped_trace
 from tests.oracles import charge_by_microsecond
 
 
@@ -44,20 +46,62 @@ def test_slices_tile_window_exactly(short_slices):
     assert cur == short_slices.window.end
 
 
+SHORT_SLICES = [
+    ExecutionSlice(Entity.task(3), 1_290_602, 1_290_678),
+    ExecutionSlice(Entity.task(1), 1_290_678, 1_290_764),
+    ExecutionSlice(Entity.task(4), 1_290_764, 1_290_838),
+    ExecutionSlice(Entity.irq(16), 1_290_838, 1_290_861),
+    ExecutionSlice(Entity.task(4), 1_290_861, 1_290_922),
+    ExecutionSlice(Entity.task(2), 1_290_922, 1_291_015),
+    ExecutionSlice(Entity.task(5), 1_291_015, 1_291_091),
+    ExecutionSlice(Entity.irq(23), 1_291_091, 1_291_124),
+    ExecutionSlice(Entity.task(5), 1_291_124, 1_291_230),
+]
+
+
 def test_slice_sequence(short_slices):
-    t = Entity.task
-    q = Entity.irq
-    assert short_slices.slices == [
-        ExecutionSlice(t(3), 1_290_602, 1_290_678),
-        ExecutionSlice(t(1), 1_290_678, 1_290_764),
-        ExecutionSlice(t(4), 1_290_764, 1_290_838),
-        ExecutionSlice(q(16), 1_290_838, 1_290_861),
-        ExecutionSlice(t(4), 1_290_861, 1_290_922),
-        ExecutionSlice(t(2), 1_290_922, 1_291_015),
-        ExecutionSlice(t(5), 1_291_015, 1_291_091),
-        ExecutionSlice(q(23), 1_291_091, 1_291_124),
-        ExecutionSlice(t(5), 1_291_124, 1_291_230),
-    ]
+    assert short_slices.slices == SHORT_SLICES
+
+
+def test_slices_view_builds_each_slice_on_access(short_slices, monkeypatch):
+    slices = short_slices.slices
+    expected = SHORT_SLICES
+    assert len(slices) == 9
+    assert slices == expected and expected == slices
+    assert slices != expected[:-1] and expected[1:] != slices and slices != tuple(expected)
+    assert slices == short_slices.slices
+    assert slices[0] == expected[0] and type(slices[0]) is ExecutionSlice
+    assert slices[-1] == expected[-1] and slices[-9] == expected[0]
+    assert slices[2:5] == expected[2:5] and slices[-3:] == expected[-3:]
+    assert slices[::-2] == expected[::-2] and slices[7:2] == []
+    assert list(reversed(slices)) == expected[::-1]
+    assert slices.index(expected[4]) == 4
+    for index in (9, -10):
+        with pytest.raises(IndexError):
+            slices[index]
+    with pytest.raises(TypeError):
+        slices[0] = expected[0]
+
+    def refuse(cls, *fields):
+        raise AssertionError(f"built a {cls.__name__}")
+
+    monkeypatch.setattr(ExecutionSlice, "__new__", refuse)
+    assert len(slices) == 9
+    with pytest.raises(AssertionError):
+        slices[0]
+
+
+def test_build_slices_peaks_at_a_few_words_per_event():
+    log = parse_trace(gate_shaped_trace(20_000))
+    n = len(log.at)
+    tracemalloc.start()
+    try:
+        s = build_slices(log)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(s.slices) == n - 1 == 100_000  # a slice between each two events
+    assert peak <= 128 * n, f"{peak / n:.0f} B per event"
 
 
 def test_one_dispatch_per_task_with_net_of_irq_time(short_slices):

@@ -15,6 +15,7 @@ from schedtrace import (
     Window,
     average_load,
     build_slices,
+    format_timestamp,
     generate_trace,
     parse_trace,
     random_scenario,
@@ -26,7 +27,15 @@ from schedtrace import (
     utilization,
     write_report,
 )
-from tests.conftest import SHORT_END, SHORT_NETS, SHORT_SPAN, SHORT_START, SHORT_TRACE
+from schedtrace.reports import MAX_SLOTS
+from tests.conftest import (
+    SHORT_END,
+    SHORT_NETS,
+    SHORT_SPAN,
+    SHORT_START,
+    SHORT_TRACE,
+    gate_shaped_trace,
+)
 
 
 def test_load_rows_and_idle_fraction(short_slices):
@@ -135,6 +144,19 @@ def test_utilization_rejects_bad_slot_width(short_slices):
         utilization(short_slices, slot_width_us=0)
 
 
+def test_utilization_makes_at_most_max_slots():
+    def span(us):
+        return build_slices(parse_trace(
+            "<0000h 00m 00s 000 000> Task schedule: old 0 new 1\n"
+            f"<{format_timestamp(us)}> Task schedule: old 1 new 0\n"
+        ))
+
+    assert len(utilization(span(MAX_SLOTS), 1).slots) == MAX_SLOTS
+    with pytest.raises(ValueError, match=f"more than {MAX_SLOTS} slots"):
+        utilization(span(MAX_SLOTS + 1), 1)
+    assert len(utilization(span(MAX_SLOTS + 1), 1, Window(1, MAX_SLOTS + 5)).slots) == MAX_SLOTS
+
+
 def test_stats_shares_and_dispatch_counts(short_slices):
     rep = task_statistics(short_slices)
     by_entity = {r.entity: r for r in rep.rows}
@@ -188,16 +210,24 @@ def test_stats_zero_net_dispatch_noted_and_excluded_from_fit():
     assert any("skipped" in n for n in row.execution.notes)
 
 
+TASK_4_SEGMENTS = [
+    TimelineSegment("inactive", 1_290_602, 1_290_764),
+    TimelineSegment("running", 1_290_764, 1_290_838),
+    TimelineSegment("preempted_by_irq", 1_290_838, 1_290_861),
+    TimelineSegment("running", 1_290_861, 1_290_922),
+    TimelineSegment("inactive", 1_290_922, 1_291_230),
+]
+TASK_4_ZOOMED = [
+    TimelineSegment("running", 1_290_800, 1_290_838),
+    TimelineSegment("preempted_by_irq", 1_290_838, 1_290_861),
+    TimelineSegment("running", 1_290_861, 1_290_900),
+]
+
+
 def test_timeline_task_states(short_slices):
     rep = timeline(short_slices)
     by_entity = {e.entity: e.segments for e in rep.entities}
-    assert by_entity[Entity.task(4)] == [
-        TimelineSegment("inactive", 1_290_602, 1_290_764),
-        TimelineSegment("running", 1_290_764, 1_290_838),
-        TimelineSegment("preempted_by_irq", 1_290_838, 1_290_861),
-        TimelineSegment("running", 1_290_861, 1_290_922),
-        TimelineSegment("inactive", 1_290_922, 1_291_230),
-    ]
+    assert by_entity[Entity.task(4)] == TASK_4_SEGMENTS
     assert by_entity[Entity.irq(16)] == [
         TimelineSegment("inactive", 1_290_602, 1_290_838),
         TimelineSegment("active", 1_290_838, 1_290_861),
@@ -219,11 +249,77 @@ def test_timeline_segments_tile_view(short_slices):
 def test_timeline_zoom(short_slices):
     rep = timeline(short_slices, view=Window(1_290_800, 1_290_900))
     by_entity = {e.entity: e.segments for e in rep.entities}
-    assert by_entity[Entity.task(4)] == [
-        TimelineSegment("running", 1_290_800, 1_290_838),
-        TimelineSegment("preempted_by_irq", 1_290_838, 1_290_861),
-        TimelineSegment("running", 1_290_861, 1_290_900),
-    ]
+    assert by_entity[Entity.task(4)] == TASK_4_ZOOMED
+
+
+@pytest.mark.parametrize(
+    "view, expected", [(None, TASK_4_SEGMENTS), (Window(1_290_800, 1_290_900), TASK_4_ZOOMED)]
+)
+def test_segments_view_builds_each_segment_on_access(short_slices, monkeypatch, view, expected):
+    rep = timeline(short_slices, view)
+    segments = next(e.segments for e in rep.entities if e.entity == Entity.task(4))
+    n = len(expected)
+    assert len(segments) == n
+    assert segments == expected and expected == segments
+    assert segments != expected[:-1] and expected[1:] != segments
+    assert segments != tuple(expected)
+    assert segments[0] == expected[0] and type(segments[0]) is TimelineSegment
+    assert segments[-1] == expected[-1] and segments[-n] == expected[0]
+    assert segments[1:] == expected[1:] and segments[-2:] == expected[-2:]
+    assert segments[::-1] == expected[::-1] and segments[n:] == []
+    assert list(reversed(segments)) == expected[::-1]
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            segments[index]
+    with pytest.raises(TypeError):
+        segments[0] = expected[0]
+
+    def refuse(cls, *fields):
+        raise AssertionError(f"built a {cls.__name__}")
+
+    monkeypatch.setattr(TimelineSegment, "__new__", refuse)
+    assert len(segments) == n
+    assert sum(len(e.segments) for e in rep.entities) > n
+    with pytest.raises(AssertionError):
+        segments[0]
+
+
+def test_entity_timeline_keeps_segments_that_tile():
+    segments = [TimelineSegment("inactive", 0, 10), TimelineSegment("active", 10, 12)]
+    ent = EntityTimeline(Entity.irq(3), segments)
+    assert ent.segments == segments
+    assert ent == EntityTimeline(Entity.irq(3), list(ent.segments))
+    assert ent != EntityTimeline(Entity.irq(3), segments[:1])
+    assert EntityTimeline(Entity.irq(3), []).segments == []
+
+
+@pytest.mark.parametrize(
+    "segments",
+    [
+        [("running", 0, 10), ("inactive", 11, 20)],  # a gap
+        [("running", 0, 10), ("inactive", 9, 20)],  # an overlap
+        [("running", 0, 10), ("inactive", 10, 10)],  # an empty segment
+        [("running", 10, 0)],  # ends before it starts
+        [("running", 10, 20), ("inactive", 0, 10)],  # out of order
+    ],
+    ids=["gap", "overlap", "empty", "backwards", "unordered"],
+)
+def test_entity_timeline_refuses_segments_that_do_not_tile(segments):
+    with pytest.raises(ValueError, match="tile"):
+        EntityTimeline(Entity.task(1), [TimelineSegment(*s) for s in segments])
+
+
+def test_timeline_adds_a_few_words_per_segment():
+    s = build_slices(parse_trace(gate_shaped_trace(20_000)))
+    tracemalloc.start()
+    try:
+        rep = timeline(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = sum(len(e.segments) for e in rep.entities)
+    assert n > 200_000
+    assert peak <= 48 * n, f"{peak / n:.0f} B per segment"
 
 
 def test_timeline_merges_segments_across_self_switch():
@@ -395,6 +491,13 @@ def test_json_round_trip_short_trace(short_slices, maker):
     rep = maker(short_slices)
     data = json.loads(render(rep, "json"))
     assert report_from_json(data) == rep
+
+
+def test_json_round_trip_zoomed_timeline(short_slices):
+    rep = timeline(short_slices, Window(1_290_800, 1_290_900))
+    back = report_from_json(render(rep, "json"))
+    assert back == rep
+    assert [e.segments for e in back.entities] == [e.segments for e in rep.entities]
 
 
 @pytest.mark.parametrize("maker", [average_load, utilization, task_statistics, timeline])

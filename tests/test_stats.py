@@ -16,6 +16,7 @@ from schedtrace import (
     ks_statistic,
     summarize,
 )
+from schedtrace.stats import MAX_BINS
 from tests.oracles import ks_statistic_per_sample
 
 
@@ -61,6 +62,14 @@ def test_histogram_rejects_bad_bin_count():
         histogram([1, 2], bins=0)
     with pytest.raises(EmptySampleError):
         histogram([], bins=4)
+
+
+def test_histogram_makes_at_most_max_bins():
+    assert len(histogram([1, 2], MAX_BINS).counts) == MAX_BINS
+    with pytest.raises(ValueError, match=f"from 1 to {MAX_BINS}"):
+        histogram([1, 2], MAX_BINS + 1)
+    with pytest.raises(ValueError, match=f"from 1 to {MAX_BINS}"):
+        histogram([7], MAX_BINS + 1)  # a degenerate range checks the count too
 
 
 @given(
