@@ -7,7 +7,6 @@ strict mode, 3 usage error.
 from __future__ import annotations
 
 import argparse
-import gc
 import os
 import sys
 from contextlib import contextmanager
@@ -242,10 +241,6 @@ def run(argv=None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
-    # one-shot batch process allocating millions of acyclic tuples; the
-    # cycle collector only adds rescan pauses here
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
     try:
         if ns.command == "analyze":
             return _cmd_analyze(ns)
@@ -261,9 +256,6 @@ def run(argv=None) -> int:
     except (TraceError, OSError) as exc:  # script errors are trace errors too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRACE_ERROR
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
 
 def main():

@@ -132,10 +132,6 @@ class Window(NamedTuple):
         return self.end - self.start
 
 
-# Slices and timeline segments are columns (see `tiling`).  Replay builds a
-# Run per dispatch and invocation, millions on a long trace, with
-# tuple.__new__(Run, values): the same tuple without the Python-level __new__
-# that NamedTuple generates, which makes that replay about a seventh faster.
 class ExecutionSlice(NamedTuple):
     """Maximal interval [start, end) charging the processor to one entity."""
 
@@ -220,6 +216,10 @@ class EventLog:
         return Window(self.at[0], self.at[-1])
 
 
+def _runs(triples: dict[int, array]) -> dict[int, ColumnView]:
+    return {key: ColumnView(Run, t[0::3], t[1::3], t[2::3]) for key, t in triples.items()}
+
+
 @dataclass(frozen=True)
 class SliceSet:
     """Complete attribution of an analysis window to execution entities.
@@ -228,14 +228,17 @@ class SliceSet:
     [window.start, window.end) exactly: slice i charges owners[i] from
     bounds[i] to bounds[i + 1], and `slices` builds each ExecutionSlice when it
     is read.  Dispatch and invocation runs carry the sample boundaries that
-    the statistics reports draw from.
+    the statistics reports draw from.  The runs of each task or IRQ id are one
+    array('q') of (start, end, net_us) triples, in `task_run_triples` or
+    `irq_run_triples`; `task_runs`, `irq_runs` and `runs_by_entity()` view
+    each as a read-only sequence of Run, whose `columns` are those three.
     """
 
     window: Window
     owners: list[Entity]
     bounds: array
-    task_runs: dict[int, list[Run]]
-    irq_runs: dict[int, list[Run]]
+    task_run_triples: dict[int, array]
+    irq_run_triples: dict[int, array]
     schedule_ins: dict[int, list[int]]
     diagnostics: list["ConsistencyViolation"] = field(default_factory=list)
 
@@ -243,7 +246,15 @@ class SliceSet:
     def slices(self) -> ColumnView:
         return tiling(ExecutionSlice, self.owners, self.bounds)
 
-    def runs_by_entity(self) -> dict[Entity, list[Run]]:
+    @property
+    def task_runs(self) -> dict[int, ColumnView]:
+        return _runs(self.task_run_triples)
+
+    @property
+    def irq_runs(self) -> dict[int, ColumnView]:
+        return _runs(self.irq_run_triples)
+
+    def runs_by_entity(self) -> dict[Entity, ColumnView]:
         """Runs of every entity that was scheduled or invoked, tasks first, ids ascending."""
         found = [(Entity(EntityKind.TASK, t), runs) for t, runs in self.task_runs.items()]
         found += [(Entity(EntityKind.IRQ, i), runs) for i, runs in self.irq_runs.items()]
@@ -251,7 +262,7 @@ class SliceSet:
 
     def net_times(self) -> dict[Entity, int]:
         """Net charged time per entity; sums exactly to the window duration."""
-        return {e: sum(r.net_us for r in runs) for e, runs in self.runs_by_entity().items()}
+        return {e: sum(runs.columns[2]) for e, runs in self.runs_by_entity().items()}
 
     def entities(self) -> list[Entity]:
         """Every entity that was scheduled or invoked, tasks first, ids ascending."""

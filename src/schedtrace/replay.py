@@ -13,6 +13,7 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from enum import Enum
+from functools import partial
 from typing import NamedTuple
 
 from .errors import ConsistencyError, EmptyTraceError
@@ -23,7 +24,6 @@ from .model import (
     Entity,
     EntityKind,
     EventLog,
-    Run,
     SliceSet,
 )
 
@@ -69,8 +69,8 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
 
     owners: list[Entity] = []
     bounds = array("q")
-    task_runs: defaultdict[int, list[Run]] = defaultdict(list)
-    irq_runs: defaultdict[int, list[Run]] = defaultdict(list)
+    task_runs: defaultdict[int, array] = defaultdict(partial(array, "q"))  # see SliceSet
+    irq_runs: defaultdict[int, array] = defaultdict(partial(array, "q"))
     schedule_ins: defaultdict[int, list[int]] = defaultdict(list)
 
     # Interned Entity values: the last slice is extended while the charged
@@ -87,7 +87,6 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
     # Open handler frames, innermost last:
     # [irq id, begin at, direct net us, handler entity].
     stack: list[list] = []
-    tuple_new = tuple.__new__  # see the note above model.ExecutionSlice
 
     for at, kind, a, b in zip(log.at, log.kind, log.a, log.b):
         if at > cursor:
@@ -111,7 +110,7 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
                     f"switch claims old task {a} but task {current} is current",
                 )
             if at > run_start:
-                task_runs[current].append(tuple_new(Run, (run_start, at, run_net)))
+                task_runs[current].extend((run_start, at, run_net))
             current = b
             current_entity = task_entities.get(current)
             if current_entity is None:
@@ -136,7 +135,7 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
             else:
                 irq_id, begin, net, _ = stack.pop()
                 if at > begin:
-                    irq_runs[irq_id].append(tuple_new(Run, (begin, at, net)))
+                    irq_runs[irq_id].extend((begin, at, net))
         else:  # IRQ_BEGIN, a: IRQ id
             entity = irq_entities.get(a)
             if entity is None:
@@ -144,7 +143,7 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
             stack.append([a, at, 0, entity])
 
     if window.end > run_start:
-        task_runs[current].append(tuple_new(Run, (run_start, window.end, run_net)))
+        task_runs[current].extend((run_start, window.end, run_net))
     while stack:
         irq_id, begin, net, _ = stack.pop()
         violation(
@@ -153,7 +152,7 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
             f"IRQ {irq_id} is still open at the end of the trace",
         )
         if window.end > begin:
-            irq_runs[irq_id].append(tuple_new(Run, (begin, window.end, net)))
+            irq_runs[irq_id].extend((begin, window.end, net))
     bounds.append(cursor)  # the window end
 
     # handed back as plain dicts, so a missing id raises KeyError

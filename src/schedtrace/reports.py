@@ -25,7 +25,6 @@ from .model import (
     Entity,
     EntityKind,
     IDLE,
-    Run,
     SliceSet,
     Window,
     format_timestamp,
@@ -252,7 +251,7 @@ def task_statistics(s: SliceSet, bins: int = 20) -> StatsReport:
     duration = clip_view(None, s.window).duration_us
     rows = []
     for entity, runs in s.runs_by_entity().items():
-        execution = _series([r.net_us for r in runs], bins)
+        execution = _series(runs.columns[2].tolist(), bins)
         net = execution.summary.total
         period = None
         if entity.kind is EntityKind.TASK:
@@ -264,18 +263,20 @@ def task_statistics(s: SliceSet, bins: int = 20) -> StatsReport:
     return StatsReport(s.window, bins, rows)
 
 
-def _task_tracks(s: SliceSet, view: Window) -> dict[int, tuple[list[str], array]]:
+def _task_tracks(
+    s: SliceSet, by_entity: dict[Entity, ColumnView], view: Window
+) -> dict[Entity, tuple[list[str], array]]:
     # One walk over the slices in the view, cut where the runs of all tasks
     # end: the runs tile the window, and inside a run the task's own slices
     # are running time and every irq slice is preempted.  A state equal to the
     # previous one extends its segment.  A track is the states and bounds of
     # an EntityTimeline, up to the task's last run in the view.
     view_start, view_end = view
-    task_of = {run.start: tid for tid, runs in s.task_runs.items() for run in runs}
+    task_of = {start: e for e, r in by_entity.items() if not e.kind for start in r.columns[0]}
     starts = sorted(task_of)  # each run ends where the next starts
     k = bisect_right(starts, view_start) - 1  # the run holding the view start
     runs = zip(islice(starts, k, None), chain(islice(starts, k + 1, None), (s.window.end,)))
-    tracks = {tid: ([], array("q", (view_start,))) for tid in s.task_runs}
+    tracks = {e: ([], array("q", (view_start,))) for e in by_entity if not e.kind}
     i = bisect_right(s.bounds, view_start) - 1
     # the walk opens on an empty run ending at the view start, outside any track
     states, bounds, last, b = [], array("q"), None, view_start
@@ -306,14 +307,14 @@ def _task_tracks(s: SliceSet, view: Window) -> dict[int, tuple[list[str], array]
     return tracks
 
 
-def _irq_track(runs: list[Run], view: Window) -> tuple[list[str], array]:
+def _irq_track(runs: ColumnView, view: Window) -> tuple[list[str], array]:
     # Same-id invocations may overlap when a handler nests within itself, and
     # the replay records them in pop order, so take the union of the spans.
     # The track ends with the last invocation in the view.
     view_start, view_end = view
     states: list[str] = []
     bounds = array("q", (view_start,))
-    for run_start, run_end, _ in sorted(runs):
+    for run_start, run_end in sorted(zip(*runs.columns[:2])):
         a = run_start if run_start > view_start else view_start
         b = run_end if run_end < view_end else view_end
         covered = bounds[-1]
@@ -339,11 +340,12 @@ def timeline(s: SliceSet, view=None) -> TimelineReport:
     listed, even if it never runs inside a zoomed view.
     """
     clipped = clip_view(view, s.window)
-    task_tracks = _task_tracks(s, clipped)
+    by_entity = s.runs_by_entity()
+    task_tracks = _task_tracks(s, by_entity, clipped)
     entities = []
-    for entity, runs in s.runs_by_entity().items():
+    for entity, runs in by_entity.items():
         if entity.kind is EntityKind.TASK:
-            states, bounds = task_tracks[entity.id]
+            states, bounds = task_tracks[entity]
         else:
             states, bounds = _irq_track(runs, clipped)
         if bounds[-1] < clipped.end:
@@ -712,18 +714,13 @@ _STRINGS = {  # json text of the strings that fill the long lists: states, kinds
 
 
 def _plain(x, pad="") -> str:
-    """json.dumps(x, indent=2) of a value outside the table, at indent `pad`.
-    Lists are laid out here: json.dumps with an indent leaves cyclic garbage
-    on each call, which the CLI, with its GC off, would keep."""
+    """json.dumps(x, indent=2) of a value outside the table, at indent `pad`."""
     t = type(x)
     if t is str:
         return _STRINGS.get(x) or json.dumps(x)
     if t is int or t is float and isfinite(x):
         return repr(x)
-    if t in (list, tuple) and x:
-        inner = pad + "  "
-        return "[" + ",".join(f"\n{inner}{_plain(v, inner)}" for v in x) + f"\n{pad}]"
-    return json.dumps(x, indent=2 if t is dict else None).replace("\n", "\n" + pad)
+    return json.dumps(x, indent=2).replace("\n", "\n" + pad)
 
 
 # The json writer lays a report out as json.dumps(doc, indent=2) would,

@@ -10,6 +10,7 @@ from schedtrace import (
     ScenarioRun,
     SliceSet,
     build_slices,
+    format_timestamp,
     generate_trace,
     parse_trace,
 )
@@ -63,3 +64,10 @@ def gate_shaped_trace(n_runs: int) -> str:
     double = (IrqSpec(31, 1, 1), IrqSpec(32, 3, 1))
     runs = tuple(ScenarioRun(1 + i % 8, 5, double) for i in range(n_runs))
     return generate_trace(Scenario(0, runs))[0]
+
+
+def unique_id_trace(n: int) -> str:
+    """n context switches, 7 us apart, whose task ids never repeat."""
+    return "".join(
+        f"<{format_timestamp(i * 7)}> Task schedule: old {i} new {i + 1}\n" for i in range(n)
+    )

@@ -9,6 +9,7 @@ from schedtrace import (
     ExecutionSlice,
     IrqBegin,
     IrqEnd,
+    Run,
     TaskSchedule,
     TimelineSegment,
     average_load,
@@ -350,13 +351,13 @@ def test_analyze_builds_no_slice_or_segment_tuples(trace_file, monkeypatch, caps
     def refuse(cls, *fields):
         raise AssertionError(f"built a {cls.__name__}")
 
-    for cls in (ExecutionSlice, TimelineSegment):
+    for cls in (ExecutionSlice, TimelineSegment, Run):
         monkeypatch.setattr(cls, "__new__", refuse)
     reports = ["--report", "load", "--report", "utilization", "--report", "stats", "--report", "timeline"]
     assert run(["analyze", trace_file, *reports, "--format", fmt, *zoom]) == 0
     assert "preempted_by_irq" in capsys.readouterr().out
     s = build_slices(parse_trace(SHORT_TRACE))
-    assert len(s.slices) == 9
+    assert len(s.slices) == 9 and list(map(len, s.runs_by_entity().values())) == [1] * 7
     assert [len(e.segments) for e in timeline(s).entities] == [3, 3, 2, 5, 4, 3, 3]
 
 

@@ -1,6 +1,8 @@
 """Charge accounting: slices, runs, nesting, recovery from bad traces."""
 
+import gc
 import tracemalloc
+from functools import partial
 
 import pytest
 
@@ -19,7 +21,14 @@ from schedtrace import (
     random_scenario,
     validate_consistency,
 )
-from tests.conftest import SHORT_END, SHORT_NETS, SHORT_SPAN, SHORT_START, gate_shaped_trace
+from tests.conftest import (
+    SHORT_END,
+    SHORT_NETS,
+    SHORT_SPAN,
+    SHORT_START,
+    gate_shaped_trace,
+    unique_id_trace,
+)
 from tests.oracles import charge_by_microsecond
 
 
@@ -91,8 +100,15 @@ def test_slices_view_builds_each_slice_on_access(short_slices, monkeypatch):
         slices[0]
 
 
-def test_build_slices_peaks_at_a_few_words_per_event():
-    log = parse_trace(gate_shaped_trace(20_000))
+# About 100,000 events each: the gate trace's shape, and ids that never repeat,
+# where replay pays for each task's run array, schedule-ins and Entity
+@pytest.mark.parametrize(
+    "trace, per_event",
+    [(partial(gate_shaped_trace, 20_000), 64), (partial(unique_id_trace, 100_000), 640)],
+    ids=["gate-shaped", "ids-never-repeat"],
+)
+def test_build_slices_peaks_at_a_few_words_per_event(trace, per_event):
+    log = parse_trace(trace())
     n = len(log.at)
     tracemalloc.start()
     try:
@@ -100,8 +116,51 @@ def test_build_slices_peaks_at_a_few_words_per_event():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(s.slices) == n - 1 == 100_000  # a slice between each two events
-    assert peak <= 128 * n, f"{peak / n:.0f} B per event"
+    assert len(s.slices) == n - 1  # a slice between each two events
+    assert peak <= per_event * n, f"{peak / n:.0f} B per event"
+
+
+def test_build_slices_gives_the_collector_no_object_per_run():
+    # a full collection scans every object the cyclic GC tracks: the runs are
+    # columns, so replay's tracked objects grow with entities, not runs
+    log = parse_trace(gate_shaped_trace(20_000))
+    gc.collect()
+    before = len(gc.get_objects())
+    s = build_slices(log)
+    added = len(gc.get_objects()) - before
+    assert sum(map(len, s.task_runs.values())) + sum(map(len, s.irq_runs.values())) == 60_000
+    assert added <= 1_000, f"{added} tracked objects"
+
+
+def test_runs_view_builds_each_run_on_access(monkeypatch):
+    s = build_slices(parse_trace(
+        "<0000h 00m 00s 000 000> Task schedule: old 0 new 9\n"
+        "<0000h 00m 00s 000 010> IRQ begin: 2\n"
+        "<0000h 00m 00s 000 015> IRQ end: 2\n"
+        "<0000h 00m 00s 000 025> Task schedule: old 9 new 9\n"
+        "<0000h 00m 00s 000 060> Task schedule: old 9 new 0\n"
+    ))
+    runs = s.task_runs[9]
+    expected = [Run(0, 25, 20), Run(25, 60, 35)]
+    assert len(runs) == 2
+    assert runs == expected and expected == runs and runs == s.runs_by_entity()[Entity.task(9)]
+    assert runs != expected[:1] and runs != tuple(expected)
+    assert runs[0] == expected[0] and type(runs[-1]) is Run and runs[-1].net_us == 35
+    assert runs[1:] == expected[1:] and runs[::-1] == expected[::-1]
+    assert [list(c) for c in runs.columns] == [[0, 25], [25, 60], [20, 35]]
+    assert list(s.irq_runs[2]) == [Run(10, 15, 5)]
+    with pytest.raises(IndexError):
+        runs[2]
+    with pytest.raises(TypeError):
+        runs[0] = expected[0]
+
+    def refuse(cls, *fields):
+        raise AssertionError(f"built a {cls.__name__}")
+
+    monkeypatch.setattr(Run, "__new__", refuse)
+    assert len(runs) == 2 and s.net_times()[Entity.task(9)] == 55
+    with pytest.raises(AssertionError):
+        runs[0]
 
 
 def test_one_dispatch_per_task_with_net_of_irq_time(short_slices):

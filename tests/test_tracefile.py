@@ -25,7 +25,7 @@ from schedtrace import (
     render_event,
     render_trace,
 )
-from tests.conftest import SHORT_TRACE
+from tests.conftest import SHORT_TRACE, unique_id_trace
 from tests.oracles import parse_by_line
 
 
@@ -392,9 +392,7 @@ def test_slices_cut_anywhere_give_the_same_lines(monkeypatch, chunk):
 def test_parse_peaks_at_a_few_words_per_event():
     # ids that never repeat: no memory of the parse may grow with distinct numbers
     n = 100_000
-    text = "".join(
-        f"<{format_timestamp(i * 7)}> Task schedule: old {i} new {i + 1}\n" for i in range(n)
-    )
+    text = unique_id_trace(n)
     tracemalloc.start()
     try:
         log = parse_trace(text)
