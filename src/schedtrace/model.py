@@ -97,6 +97,16 @@ class Entity(NamedTuple):
 
 IDLE = Entity(EntityKind.TASK, IDLE_TASK_ID)
 
+IRQ_CODE = 1 << 60  # an IRQ's entity code is its id plus this; a task's is its id
+
+
+def entity_of(code: int) -> Entity:
+    """The Entity of an entity code.  Ids lie in [0, IRQ_CODE), so codes sort
+    as entities do: tasks first, then IRQs, ids ascending."""
+    if code < IRQ_CODE:
+        return Entity(EntityKind.TASK, code)
+    return Entity(EntityKind.IRQ, code - IRQ_CODE)
+
 
 class TaskSchedule(NamedTuple):
     """Context switch: the scheduler replaces task `old` with task `new`."""
@@ -198,7 +208,8 @@ class EventLog:
     """Parsed trace: events in file order with non-decreasing timestamps.
 
     Event i is at[i], kind[i] (SCHEDULE, IRQ_BEGIN or IRQ_END), a[i] (the
-    old task or the IRQ id) and b[i] (the new task, 0 for an IRQ event).
+    old task or the IRQ id) and b[i] (the new task, 0 for an IRQ event), in
+    four array('q') columns.
     """
 
     at: array
@@ -216,8 +227,12 @@ class EventLog:
         return Window(self.at[0], self.at[-1])
 
 
-def _runs(triples: dict[int, array]) -> dict[int, ColumnView]:
-    return {key: ColumnView(Run, t[0::3], t[1::3], t[2::3]) for key, t in triples.items()}
+def _slice(code: int, start: int, end: int) -> ExecutionSlice:
+    return ExecutionSlice(entity_of(code), start, end)
+
+
+def _run_view(triples: array) -> ColumnView:
+    return ColumnView(Run, triples[0::3], triples[1::3], triples[2::3])
 
 
 @dataclass(frozen=True)
@@ -225,45 +240,43 @@ class SliceSet:
     """Complete attribution of an analysis window to execution entities.
 
     Slices are pairwise disjoint, time ordered, and tile
-    [window.start, window.end) exactly: slice i charges owners[i] from
-    bounds[i] to bounds[i + 1], and `slices` builds each ExecutionSlice when it
-    is read.  Dispatch and invocation runs carry the sample boundaries that
-    the statistics reports draw from.  The runs of each task or IRQ id are one
-    array('q') of (start, end, net_us) triples, in `task_run_triples` or
-    `irq_run_triples`; `task_runs`, `irq_runs` and `runs_by_entity()` view
-    each as a read-only sequence of Run, whose `columns` are those three.
+    [window.start, window.end) exactly: slice i charges the entity code
+    owners[i] from bounds[i] to bounds[i + 1], and `slices` builds each
+    ExecutionSlice when it is read.  Dispatch and invocation runs carry the
+    sample boundaries of the statistics reports: `runs` maps the code of each
+    entity that ran, in code order, to an array('q') of (start, end, net_us)
+    triples.  `task_runs`, `irq_runs` and `runs_by_entity()` build on each
+    access a read-only sequence of Run over each, whose `columns` are those
+    three.
     """
 
     window: Window
-    owners: list[Entity]
+    owners: array
     bounds: array
-    task_run_triples: dict[int, array]
-    irq_run_triples: dict[int, array]
+    runs: dict[int, array]
     schedule_ins: dict[int, list[int]]
     diagnostics: list["ConsistencyViolation"] = field(default_factory=list)
 
     @property
     def slices(self) -> ColumnView:
-        return tiling(ExecutionSlice, self.owners, self.bounds)
+        return tiling(_slice, self.owners, self.bounds)
 
     @property
     def task_runs(self) -> dict[int, ColumnView]:
-        return _runs(self.task_run_triples)
+        return {code: _run_view(t) for code, t in self.runs.items() if code < IRQ_CODE}
 
     @property
     def irq_runs(self) -> dict[int, ColumnView]:
-        return _runs(self.irq_run_triples)
+        return {code - IRQ_CODE: _run_view(t) for code, t in self.runs.items() if code >= IRQ_CODE}
 
     def runs_by_entity(self) -> dict[Entity, ColumnView]:
         """Runs of every entity that was scheduled or invoked, tasks first, ids ascending."""
-        found = [(Entity(EntityKind.TASK, t), runs) for t, runs in self.task_runs.items()]
-        found += [(Entity(EntityKind.IRQ, i), runs) for i, runs in self.irq_runs.items()]
-        return dict(sorted(found))
+        return {entity_of(code): _run_view(t) for code, t in self.runs.items()}
 
     def net_times(self) -> dict[Entity, int]:
         """Net charged time per entity; sums exactly to the window duration."""
-        return {e: sum(runs.columns[2]) for e, runs in self.runs_by_entity().items()}
+        return {entity_of(code): sum(t[2::3]) for code, t in self.runs.items()}
 
     def entities(self) -> list[Entity]:
         """Every entity that was scheduled or invoked, tasks first, ids ascending."""
-        return list(self.runs_by_entity())
+        return list(map(entity_of, self.runs))

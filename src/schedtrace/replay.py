@@ -19,10 +19,9 @@ from typing import NamedTuple
 from .errors import ConsistencyError, EmptyTraceError
 from .model import (
     IDLE_TASK_ID,
+    IRQ_CODE,
     IRQ_END,
     SCHEDULE,
-    Entity,
-    EntityKind,
     EventLog,
     SliceSet,
 )
@@ -50,11 +49,16 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
     and handlers still open at the end of the trace are closed at the window
     end; every repair is recorded as a diagnostic on the returned SliceSet.
 
-    The slices are two columns: the entity each charges, and the
-    len(owners) + 1 times that bound them (see SliceSet).
+    The slices are two columns: the entity code each charges, and the
+    len(owners) + 1 times that bound them (see SliceSet).  ValueError if a
+    task or IRQ id lies outside [0, IRQ_CODE), where codes would collide.
     """
     if not log.at:
         raise EmptyTraceError("cannot replay an empty event log")
+    # read as unsigned, a negative id is at least 2**63: one max per column
+    for column in (log.a, log.b):
+        if max(memoryview(column).cast("B").cast("Q")) >= IRQ_CODE:
+            raise ValueError("task and IRQ ids must lie in [0, 2**60)")
     window = log.window
 
     # the task running at the window start: `old` of the first switch seen
@@ -67,25 +71,17 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
             raise ConsistencyError(found)
         violations.append(found)
 
-    owners: list[Entity] = []
+    owners = array("q")  # entity codes, see SliceSet
     bounds = array("q")
-    task_runs: defaultdict[int, array] = defaultdict(partial(array, "q"))  # see SliceSet
-    irq_runs: defaultdict[int, array] = defaultdict(partial(array, "q"))
+    runs: defaultdict[int, array] = defaultdict(partial(array, "q"))
     schedule_ins: defaultdict[int, list[int]] = defaultdict(list)
 
-    # Interned Entity values: the last slice is extended while the charged
-    # entity stays the same object.
-    task_entities: dict[int, Entity] = {}
-    irq_entities: dict[int, Entity] = {}
-    current_entity = Entity(EntityKind.TASK, current)
-    task_entities[current] = current_entity
-    owner: Entity | None = None  # of the last slice
+    owner = -1  # the code of the last slice, extended while the charge stays
     cursor = window.start
 
     run_start = window.start
     run_net = 0
-    # Open handler frames, innermost last:
-    # [irq id, begin at, direct net us, handler entity].
+    # Open handler frames, innermost last: [code, begin at, direct net us].
     stack: list[list] = []
 
     for at, kind, a, b in zip(log.at, log.kind, log.a, log.b):
@@ -93,14 +89,14 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
             if stack:
                 frame = stack[-1]
                 frame[2] += at - cursor
-                entity = frame[3]
+                code = frame[0]
             else:
                 run_net += at - cursor
-                entity = current_entity
-            if entity is not owner:
-                owners.append(entity)
+                code = current  # a task's code is its id
+            if code != owner:
+                owners.append(code)
                 bounds.append(cursor)
-                owner = entity
+                owner = code
             cursor = at
         if kind == SCHEDULE:  # a: old task, b: new task
             if a != current:
@@ -110,12 +106,8 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
                     f"switch claims old task {a} but task {current} is current",
                 )
             if at > run_start:
-                task_runs[current].extend((run_start, at, run_net))
+                runs[current].extend((run_start, at, run_net))
             current = b
-            current_entity = task_entities.get(current)
-            if current_entity is None:
-                current_entity = Entity(EntityKind.TASK, current)
-                task_entities[current] = current_entity
             run_start = at
             run_net = 0
             schedule_ins[current].append(at)
@@ -126,38 +118,35 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
                     ViolationKind.IRQ_END_WITHOUT_BEGIN,
                     f"IRQ {a} ends but no handler is open",
                 )
-            elif stack[-1][0] != a:
+            elif stack[-1][0] != a + IRQ_CODE:
                 violation(
                     at,
                     ViolationKind.IRQ_END_ID_MISMATCH,
-                    f"IRQ {a} ends but IRQ {stack[-1][0]} is innermost",
+                    f"IRQ {a} ends but IRQ {stack[-1][0] - IRQ_CODE} is innermost",
                 )
             else:
-                irq_id, begin, net, _ = stack.pop()
+                code, begin, net = stack.pop()
                 if at > begin:
-                    irq_runs[irq_id].extend((begin, at, net))
+                    runs[code].extend((begin, at, net))
         else:  # IRQ_BEGIN, a: IRQ id
-            entity = irq_entities.get(a)
-            if entity is None:
-                entity = irq_entities[a] = Entity(EntityKind.IRQ, a)
-            stack.append([a, at, 0, entity])
+            stack.append([a + IRQ_CODE, at, 0])
 
     if window.end > run_start:
-        task_runs[current].extend((run_start, window.end, run_net))
+        runs[current].extend((run_start, window.end, run_net))
     while stack:
-        irq_id, begin, net, _ = stack.pop()
+        code, begin, net = stack.pop()
         violation(
             window.end,
             ViolationKind.IRQ_OPEN_AT_TRACE_END,
-            f"IRQ {irq_id} is still open at the end of the trace",
+            f"IRQ {code - IRQ_CODE} is still open at the end of the trace",
         )
         if window.end > begin:
-            irq_runs[irq_id].extend((begin, window.end, net))
+            runs[code].extend((begin, window.end, net))
     bounds.append(cursor)  # the window end
 
     # handed back as plain dicts, so a missing id raises KeyError
     return SliceSet(
-        window, owners, bounds, dict(task_runs), dict(irq_runs), dict(schedule_ins), violations
+        window, owners, bounds, dict(sorted(runs.items())), dict(schedule_ins), violations
     )
 
 

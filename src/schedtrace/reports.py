@@ -21,12 +21,14 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EmptyWindowError
 from .model import (
+    IRQ_CODE,
     ColumnView,
     Entity,
     EntityKind,
     IDLE,
     SliceSet,
     Window,
+    entity_of,
     format_timestamp,
     tiling,
 )
@@ -172,14 +174,9 @@ def clip_view(view, window: Window) -> Window:
 def average_load(s: SliceSet) -> LoadReport:
     """Net time and fraction of the window per entity; idle is task 0's share."""
     duration = clip_view(None, s.window).duration_us
-    nets = s.net_times()
-    rows = [
-        LoadRow(entity, net, net / duration)
-        for entity, net in sorted(nets.items())
-        if net > 0
-    ]
-    idle = next((r.utilization for r in rows if r.entity == IDLE), 0.0)
-    return LoadReport(s.window, rows, idle)
+    nets = {code: sum(runs[2::3]) for code, runs in s.runs.items()}
+    rows = [LoadRow(entity_of(c), net, net / duration) for c, net in nets.items() if net > 0]
+    return LoadReport(s.window, rows, nets.get(IDLE.id, 0) / duration)
 
 
 def utilization(
@@ -200,7 +197,8 @@ def utilization(
     if -(-clipped.duration_us // width) > MAX_SLOTS:
         raise ValueError(f"slot width {width} us makes more than {MAX_SLOTS} slots")
     slots: list[UtilizationSlot] = []
-    acc: dict[Entity, int] = {}  # the open slot's charge per entity
+    entity = dict(zip(s.runs, s.entities()))
+    acc: dict[int, int] = {}  # the open slot's charge per entity code
     slot_start = view_start
     slot_end = min(view_start + width, view_end)
     first = bisect_right(s.bounds, view_start) - 1  # the slice holding the view start
@@ -208,14 +206,14 @@ def utilization(
     # Slices tile the window in time order.  One walk charges each into the
     # open slot; a slice reaching the slot's end closes that slot and each
     # later slot it covers whole.  The walk ends when the last slot closes.
-    for entity, a, b in zip(islice(s.owners, first, None), chain((view_start,), ends), ends):
+    for code, a, b in zip(islice(s.owners, first, None), chain((view_start,), ends), ends):
         if b < slot_end:
-            acc[entity] = acc.get(entity, 0) + (b - a)
+            acc[code] = acc.get(code, 0) + (b - a)
             continue
         while b >= slot_end:
-            acc[entity] = acc.get(entity, 0) + (slot_end - a)
+            acc[code] = acc.get(code, 0) + (slot_end - a)
             span = slot_end - slot_start
-            fractions = [(e, us / span) for e, us in sorted(acc.items())]
+            fractions = [(entity[c], us / span) for c, us in sorted(acc.items())]
             slots.append(UtilizationSlot(slot_start, span, span < width, fractions))
             if slot_end == view_end:
                 return UtilizationReport(s.window, clipped, width, slots)
@@ -223,7 +221,7 @@ def utilization(
             a = slot_start = slot_end
             slot_end = min(slot_end + width, view_end)
         if a < b:
-            acc[entity] = b - a
+            acc[code] = b - a
 
 
 def _series(samples: list[int], bins: int) -> SeriesStats:
@@ -250,38 +248,33 @@ def task_statistics(s: SliceSet, bins: int = 20) -> StatsReport:
     """
     duration = clip_view(None, s.window).duration_us
     rows = []
-    for entity, runs in s.runs_by_entity().items():
-        execution = _series(runs.columns[2].tolist(), bins)
+    for code, runs in s.runs.items():
+        execution = _series(runs[2::3].tolist(), bins)
         net = execution.summary.total
-        period = None
-        if entity.kind is EntityKind.TASK:
-            ins = s.schedule_ins.get(entity.id, ())
-            if len(ins) >= 2:
-                deltas = [b - a for a, b in zip(ins, ins[1:])]
-                period = _series(deltas, bins)
-        rows.append(EntityStats(entity, net, net / duration, len(runs), execution, period))
+        ins = s.schedule_ins.get(code, ())  # an IRQ's code is no task's id
+        period = _series([b - a for a, b in zip(ins, ins[1:])], bins) if len(ins) >= 2 else None
+        n = len(runs) // 3  # dispatches: one triple each
+        rows.append(EntityStats(entity_of(code), net, net / duration, n, execution, period))
     return StatsReport(s.window, bins, rows)
 
 
-def _task_tracks(
-    s: SliceSet, by_entity: dict[Entity, ColumnView], view: Window
-) -> dict[Entity, tuple[list[str], array]]:
+def _task_tracks(s: SliceSet, view: Window) -> dict[int, tuple[list[str], array]]:
     # One walk over the slices in the view, cut where the runs of all tasks
     # end: the runs tile the window, and inside a run the task's own slices
     # are running time and every irq slice is preempted.  A state equal to the
     # previous one extends its segment.  A track is the states and bounds of
     # an EntityTimeline, up to the task's last run in the view.
     view_start, view_end = view
-    task_of = {start: e for e, r in by_entity.items() if not e.kind for start in r.columns[0]}
+    task_of = {start: t for t, r in s.runs.items() if t < IRQ_CODE for start in r[0::3]}
     starts = sorted(task_of)  # each run ends where the next starts
     k = bisect_right(starts, view_start) - 1  # the run holding the view start
     runs = zip(islice(starts, k, None), chain(islice(starts, k + 1, None), (s.window.end,)))
-    tracks = {e: ([], array("q", (view_start,))) for e in by_entity if not e.kind}
+    tracks = {t: ([], array("q", (view_start,))) for t in s.runs if t < IRQ_CODE}
     i = bisect_right(s.bounds, view_start) - 1
     # the walk opens on an empty run ending at the view start, outside any track
     states, bounds, last, b = [], array("q"), None, view_start
     for owner, end in zip(islice(s.owners, i, None), islice(s.bounds, i + 1, None)):
-        state = PREEMPTED_BY_IRQ if owner.kind else RUNNING
+        state = PREEMPTED_BY_IRQ if owner >= IRQ_CODE else RUNNING
         while True:
             cut = end if end < b else b
             if state is last:
@@ -307,14 +300,14 @@ def _task_tracks(
     return tracks
 
 
-def _irq_track(runs: ColumnView, view: Window) -> tuple[list[str], array]:
+def _irq_track(runs: array, view: Window) -> tuple[list[str], array]:
     # Same-id invocations may overlap when a handler nests within itself, and
     # the replay records them in pop order, so take the union of the spans.
     # The track ends with the last invocation in the view.
     view_start, view_end = view
     states: list[str] = []
     bounds = array("q", (view_start,))
-    for run_start, run_end in sorted(zip(*runs.columns[:2])):
+    for run_start, run_end in sorted(zip(runs[0::3], runs[1::3])):
         a = run_start if run_start > view_start else view_start
         b = run_end if run_end < view_end else view_end
         covered = bounds[-1]
@@ -340,19 +333,15 @@ def timeline(s: SliceSet, view=None) -> TimelineReport:
     listed, even if it never runs inside a zoomed view.
     """
     clipped = clip_view(view, s.window)
-    by_entity = s.runs_by_entity()
-    task_tracks = _task_tracks(s, by_entity, clipped)
+    task_tracks = _task_tracks(s, clipped)
     entities = []
-    for entity, runs in by_entity.items():
-        if entity.kind is EntityKind.TASK:
-            states, bounds = task_tracks[entity]
-        else:
-            states, bounds = _irq_track(runs, clipped)
+    for code, runs in s.runs.items():
+        states, bounds = task_tracks[code] if code < IRQ_CODE else _irq_track(runs, clipped)
         if bounds[-1] < clipped.end:
             states.append(INACTIVE)
             bounds.append(clipped.end)
         track = EntityTimeline.__new__(EntityTimeline)  # it tiles: taken without a check
-        vars(track).update(entity=entity, states=states, bounds=bounds)
+        vars(track).update(entity=entity_of(code), states=states, bounds=bounds)
         entities.append(track)
     return TimelineReport(s.window, clipped, entities)
 

@@ -139,17 +139,19 @@ def read_text(path: str) -> str:
 def parse_trace(source, strict: bool = True) -> EventLog:
     """Parse a whole trace into an EventLog.
 
-    `source` may be text, bytes, or an iterable of lines (e.g. an open file).
-    In text and bytes only LF ends a line.  The elements of an iterable are
-    joined with LFs, one trailing LF of each removed first, so line numbers
-    count elements unless one holds an LF inside.  Blank lines are skipped.
-    Strict mode raises ParseError (with the line number) on the first bad
-    line or backwards timestamp; lenient mode skips each offender and
-    records a diagnostic instead.  A trace yielding zero events raises
-    EmptyTraceError in both modes.
+    `source` may be text, bytes, or an iterable of lines of either, such as a
+    file open in either mode.  In text and bytes only LF ends a line.  The
+    lines of an iterable are joined with LFs, one trailing LF of each removed
+    first, so line numbers count them unless one holds an LF inside.  Blank
+    lines are skipped.  Strict mode raises ParseError (with the line number)
+    on the first bad line or backwards timestamp; lenient mode skips each
+    offender and records a diagnostic instead.  A trace yielding zero events
+    raises EmptyTraceError in both modes.
     """
     if not isinstance(source, (str, bytes)):
-        source = "\n".join(line.removesuffix("\n") for line in source)
+        lines = list(source)
+        lf = b"\n" if lines and isinstance(lines[0], bytes) else "\n"
+        source = lf.join(line.removesuffix(lf) for line in lines)
     text = _decode(source) if isinstance(source, bytes) else source
     ats, kinds, firsts, seconds = columns = [array("q") for _ in range(4)]
     add_at, add_kind, add_a, add_b = ats.append, kinds.append, firsts.append, seconds.append

@@ -10,6 +10,7 @@ from schedtrace import (
     IrqBegin,
     IrqEnd,
     Run,
+    SliceSet,
     TaskSchedule,
     TimelineSegment,
     average_load,
@@ -103,6 +104,35 @@ def test_analyze_multiple_traces_use_stem_subdirs(trace_file, tmp_path):
     assert code == 0
     assert (out_dir / "trace" / "load.txt").exists()
     assert (out_dir / "second" / "load.txt").exists()
+
+
+def _refuse_to_read(monkeypatch):
+    def refuse(path, strict=True):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr("schedtrace.cli.parse_trace_file", refuse)
+
+
+def test_analyze_refuses_two_traces_of_one_name(tmp_path, monkeypatch, capsys):
+    paths = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "x.txt").write_text(SHORT_TRACE)
+        paths.append(str(tmp_path / sub / "x.txt"))
+    out_dir = tmp_path / "out"
+    _refuse_to_read(monkeypatch)
+    assert run(["analyze", *paths, "--report", "load", "-o", str(out_dir)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: traces ") and paths[0] in err and paths[1] in err
+    assert not out_dir.exists()
+
+
+def test_analyze_refuses_stdin_twice(tmp_path, monkeypatch, capsys):
+    out_dir = tmp_path / "out"
+    _refuse_to_read(monkeypatch)
+    assert run(["analyze", "-", "-", "--report", "load", "-o", str(out_dir)]) == 3
+    assert capsys.readouterr().err.startswith("error: traces - and - would both write ")
+    assert not out_dir.exists()
 
 
 def test_analyze_multiple_traces_without_output_dir_is_usage_error(trace_file, capsys):
@@ -351,13 +381,18 @@ def test_analyze_builds_no_slice_or_segment_tuples(trace_file, monkeypatch, caps
     def refuse(cls, *fields):
         raise AssertionError(f"built a {cls.__name__}")
 
+    def refuse_views(self):
+        raise AssertionError("built the run views")
+
     for cls in (ExecutionSlice, TimelineSegment, Run):
         monkeypatch.setattr(cls, "__new__", refuse)
+    for name in ("task_runs", "irq_runs", "runs_by_entity"):
+        monkeypatch.setattr(SliceSet, name, property(refuse_views))
     reports = ["--report", "load", "--report", "utilization", "--report", "stats", "--report", "timeline"]
     assert run(["analyze", trace_file, *reports, "--format", fmt, *zoom]) == 0
     assert "preempted_by_irq" in capsys.readouterr().out
     s = build_slices(parse_trace(SHORT_TRACE))
-    assert len(s.slices) == 9 and list(map(len, s.runs_by_entity().values())) == [1] * 7
+    assert len(s.slices) == 9 and list(map(len, s.runs.values())) == [3] * 7
     assert [len(e.segments) for e in timeline(s).entities] == [3, 3, 2, 5, 4, 3, 3]
 
 

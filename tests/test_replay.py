@@ -1,7 +1,9 @@
 """Charge accounting: slices, runs, nesting, recovery from bad traces."""
 
 import gc
+import re
 import tracemalloc
+from array import array
 from functools import partial
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from schedtrace import (
     ConsistencyError,
     Entity,
+    EventLog,
     ExecutionSlice,
     IrqBegin,
     IrqEnd,
@@ -21,6 +24,7 @@ from schedtrace import (
     random_scenario,
     validate_consistency,
 )
+from schedtrace.model import IRQ_BEGIN, IRQ_END, SCHEDULE
 from tests.conftest import (
     SHORT_END,
     SHORT_NETS,
@@ -101,10 +105,10 @@ def test_slices_view_builds_each_slice_on_access(short_slices, monkeypatch):
 
 
 # About 100,000 events each: the gate trace's shape, and ids that never repeat,
-# where replay pays for each task's run array, schedule-ins and Entity
+# where replay pays for each task's run array and schedule-ins
 @pytest.mark.parametrize(
     "trace, per_event",
-    [(partial(gate_shaped_trace, 20_000), 64), (partial(unique_id_trace, 100_000), 640)],
+    [(partial(gate_shaped_trace, 20_000), 64), (partial(unique_id_trace, 100_000), 580)],
     ids=["gate-shaped", "ids-never-repeat"],
 )
 def test_build_slices_peaks_at_a_few_words_per_event(trace, per_event):
@@ -118,6 +122,18 @@ def test_build_slices_peaks_at_a_few_words_per_event(trace, per_event):
         tracemalloc.stop()
     assert len(s.slices) == n - 1  # a slice between each two events
     assert peak <= per_event * n, f"{peak / n:.0f} B per event"
+
+
+# A code is a task's id, or an IRQ's id plus 2**60: ids outside [0, 2**60)
+# would collide, so an IRQ -1 would be charged as task 2**60 - 1.
+@pytest.mark.parametrize(
+    "a, b", [((0, -1, -1), (1, 0, 0)), ((0, 5, 5), (2**60, 0, 0))], ids=["irq-1", "task-2**60"]
+)
+def test_build_slices_refuses_ids_outside_the_codes(a, b):
+    kinds = (SCHEDULE, IRQ_BEGIN, IRQ_END)
+    log = EventLog(*(array("q", column) for column in ((0, 10, 20), kinds, a, b)))
+    with pytest.raises(ValueError, match=re.escape("[0, 2**60)")):
+        build_slices(log, strict=False)
 
 
 def test_build_slices_gives_the_collector_no_object_per_run():

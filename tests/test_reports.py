@@ -35,6 +35,7 @@ from tests.conftest import (
     SHORT_START,
     SHORT_TRACE,
     gate_shaped_trace,
+    unique_id_trace,
 )
 
 
@@ -320,6 +321,20 @@ def test_timeline_adds_a_few_words_per_segment():
     n = sum(len(e.segments) for e in rep.entities)
     assert n > 200_000
     assert peak <= 48 * n, f"{peak / n:.0f} B per segment"
+
+
+def test_timeline_of_ids_that_never_repeat_adds_a_few_words_per_segment():
+    # three segments per task: inactive, running, inactive
+    s = build_slices(parse_trace(unique_id_trace(100_000)))
+    tracemalloc.start()
+    try:
+        rep = timeline(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = sum(len(e.segments) for e in rep.entities)
+    assert n > 290_000
+    assert peak <= 230 * n, f"{peak / n:.0f} B per segment"
 
 
 def test_timeline_merges_segments_across_self_switch():

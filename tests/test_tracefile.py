@@ -215,6 +215,23 @@ def test_parse_trace_accepts_iterable_of_lines():
     assert len(log.events) == 10
 
 
+@pytest.mark.parametrize("form", ["text", "bytes", "text file", "binary file"])
+def test_parse_trace_reads_one_trace_alike_in_every_form(tmp_path, form):
+    text = SHORT_TRACE + "noté\n"  # a diagnosed line that is not ASCII
+    path = tmp_path / "t.txt"
+    path.write_bytes(text.encode())
+    if form == "text file":
+        with open(path, encoding="utf-8") as handle:
+            log = parse_trace(handle, strict=False)
+    elif form == "binary file":
+        with open(path, "rb") as handle:
+            log = parse_trace(handle, strict=False)
+    else:
+        log = parse_trace(text if form == "text" else text.encode(), strict=False)
+    assert log == parse_trace(text, strict=False)
+    assert len(log.events) == 10 and "noté" in log.diagnostics[0].message
+
+
 def test_parse_trace_file(tmp_path):
     p = tmp_path / "t.txt"
     p.write_text(SHORT_TRACE)
