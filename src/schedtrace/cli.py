@@ -182,12 +182,13 @@ def _cmd_analyze(ns) -> int:
     if len(ns.traces) > 1 and not ns.output_dir:
         raise _UsageError("multiple traces need an output directory (-o)")
     multi = len(ns.traces) > 1
-    stems: dict[str, str] = {}  # the trace that writes each subdirectory
-    for path in ns.traces if multi else ():
-        directory = os.path.join(ns.output_dir, _stem(path))
-        if directory in stems:
-            raise _UsageError(f"traces {stems[directory]} and {path} would both write {directory}")
-        stems[directory] = path
+    stems: dict[str, str] = {}  # the trace that writes each subdirectory of -o
+    for path in ns.traces:
+        stem = _stem(path)
+        if stem in stems:
+            directory = os.path.join(ns.output_dir, stem)
+            raise _UsageError(f"traces {stems[stem]} and {path} would both write {directory}")
+        stems[stem] = path
     first_doc = True
     for path in ns.traces:
         log = parse_trace_file(path, strict=not ns.lenient)

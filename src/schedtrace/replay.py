@@ -13,7 +13,6 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from enum import Enum
-from functools import partial
 from typing import NamedTuple
 
 from .errors import ConsistencyError, EmptyTraceError
@@ -25,7 +24,6 @@ from .model import (
     EventLog,
     SliceSet,
 )
-
 
 class ViolationKind(Enum):
     OLD_TASK_MISMATCH = "old_task_mismatch"
@@ -55,14 +53,14 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
     """
     if not log.at:
         raise EmptyTraceError("cannot replay an empty event log")
-    # read as unsigned, a negative id is at least 2**63: one max per column
+    from sys import byteorder
+
+    # the top byte of an id in [0, IRQ_CODE) is below 0x10, of a negative id 0x80 or more
+    top = 7 if byteorder == "little" else 0
     for column in (log.a, log.b):
-        if max(memoryview(column).cast("B").cast("Q")) >= IRQ_CODE:
+        if memoryview(column).cast("B")[top::8].tobytes().translate(None, bytes(range(16))):
             raise ValueError("task and IRQ ids must lie in [0, 2**60)")
     window = log.window
-
-    # the task running at the window start: `old` of the first switch seen
-    current = log.a[log.kind.index(SCHEDULE)] if SCHEDULE in log.kind else IDLE_TASK_ID
     violations: list[ConsistencyViolation] = []
 
     def violation(at, kind, detail):
@@ -73,75 +71,100 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
 
     owners = array("q")  # entity codes, see SliceSet
     bounds = array("q")
-    runs: defaultdict[int, array] = defaultdict(partial(array, "q"))
+    runs: dict[int, array] = {}
     schedule_ins: defaultdict[int, list[int]] = defaultdict(list)
 
+    # The innermost open entity: its code, the start of its run and the net us
+    # charged to it in that run.  The window opens on the task running at its
+    # start, `old` of the first switch seen; a task's code is its id.
+    code = log.a[log.kind.index(SCHEDULE)] if SCHEDULE in log.kind else IDLE_TASK_ID
+    start, net = window.start, 0
+    # The same of each entity that open handlers interrupt, innermost last:
+    # the task, then the handlers that enclose the innermost one.
+    suspended: list[tuple[int, int, int]] = []
     owner = -1  # the code of the last slice, extended while the charge stays
     cursor = window.start
 
-    run_start = window.start
-    run_net = 0
-    # Open handler frames, innermost last: [code, begin at, direct net us].
-    stack: list[list] = []
+    # array.append and array.extend convert each item on its own, at several
+    # times the cost of the list methods: each chunk of events collects its
+    # slices and runs in lists, and fromlist moves them into the arrays.
+    new_owners: list[int] = []
+    new_bounds: list[int] = []
+    new_runs: defaultdict[int, list[int]] = defaultdict(list)
 
-    for at, kind, a, b in zip(log.at, log.kind, log.a, log.b):
-        if at > cursor:
-            if stack:
-                frame = stack[-1]
-                frame[2] += at - cursor
-                code = frame[0]
-            else:
-                run_net += at - cursor
-                code = current  # a task's code is its id
-            if code != owner:
-                owners.append(code)
-                bounds.append(cursor)
-                owner = code
-            cursor = at
-        if kind == SCHEDULE:  # a: old task, b: new task
-            if a != current:
-                violation(
-                    at,
-                    ViolationKind.OLD_TASK_MISMATCH,
-                    f"switch claims old task {a} but task {current} is current",
-                )
-            if at > run_start:
-                runs[current].extend((run_start, at, run_net))
-            current = b
-            run_start = at
-            run_net = 0
-            schedule_ins[current].append(at)
-        elif kind == IRQ_END:  # a: IRQ id
-            if not stack:
-                violation(
-                    at,
-                    ViolationKind.IRQ_END_WITHOUT_BEGIN,
-                    f"IRQ {a} ends but no handler is open",
-                )
-            elif stack[-1][0] != a + IRQ_CODE:
-                violation(
-                    at,
-                    ViolationKind.IRQ_END_ID_MISMATCH,
-                    f"IRQ {a} ends but IRQ {stack[-1][0] - IRQ_CODE} is innermost",
-                )
-            else:
-                code, begin, net = stack.pop()
-                if at > begin:
-                    runs[code].extend((begin, at, net))
-        else:  # IRQ_BEGIN, a: IRQ id
-            stack.append([a + IRQ_CODE, at, 0])
+    def keep_chunk():
+        owners.fromlist(new_owners)
+        bounds.fromlist(new_bounds)
+        for c, triples in new_runs.items():
+            if c in runs:
+                runs[c].fromlist(triples)
+            else:  # sized to fit: an id that runs once keeps 24 bytes
+                runs[c] = array("q", triples)
+        new_owners.clear()
+        new_bounds.clear()
+        new_runs.clear()
 
-    if window.end > run_start:
-        runs[current].extend((run_start, window.end, run_net))
-    while stack:
-        code, begin, net = stack.pop()
+    for lo in range(0, len(log.at), 4096):
+        hi = lo + 4096
+        for at, kind, a, b in zip(log.at[lo:hi], log.kind[lo:hi], log.a[lo:hi], log.b[lo:hi]):
+            if at > cursor:
+                net += at - cursor
+                if code != owner:
+                    new_owners.append(code)
+                    new_bounds.append(cursor)
+                    owner = code
+                cursor = at
+            if kind == SCHEDULE:  # a: old task, b: new task
+                if suspended:  # the task lies beneath open handlers
+                    task, run_start, run_net = suspended[0]
+                    suspended[0] = (b, at, 0)
+                else:
+                    task, run_start, run_net = code, start, net
+                    code, start, net = b, at, 0
+                if a != task:
+                    violation(
+                        at,
+                        ViolationKind.OLD_TASK_MISMATCH,
+                        f"switch claims old task {a} but task {task} is current",
+                    )
+                if at > run_start:
+                    new_runs[task] += run_start, at, run_net
+                schedule_ins[b].append(at)
+            elif kind == IRQ_END:  # a: IRQ id
+                if not suspended:
+                    violation(
+                        at,
+                        ViolationKind.IRQ_END_WITHOUT_BEGIN,
+                        f"IRQ {a} ends but no handler is open",
+                    )
+                elif code != a + IRQ_CODE:
+                    violation(
+                        at,
+                        ViolationKind.IRQ_END_ID_MISMATCH,
+                        f"IRQ {a} ends but IRQ {code - IRQ_CODE} is innermost",
+                    )
+                else:
+                    if at > start:
+                        new_runs[code] += start, at, net
+                    code, start, net = suspended.pop()
+            else:  # IRQ_BEGIN, a: IRQ id
+                suspended.append((code, start, net))
+                code, start, net = a + IRQ_CODE, at, 0
+        keep_chunk()
+
+    # handlers still open close at the window end, innermost first; then the task
+    while suspended:
         violation(
             window.end,
             ViolationKind.IRQ_OPEN_AT_TRACE_END,
             f"IRQ {code - IRQ_CODE} is still open at the end of the trace",
         )
-        if window.end > begin:
-            runs[code].extend((begin, window.end, net))
+        if window.end > start:
+            new_runs[code] += start, window.end, net
+        code, start, net = suspended.pop()
+    if window.end > start:
+        new_runs[code] += start, window.end, net
+    keep_chunk()
     bounds.append(cursor)  # the window end
 
     # handed back as plain dicts, so a missing id raises KeyError

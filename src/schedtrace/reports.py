@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, islice
 from math import isfinite
@@ -198,30 +198,26 @@ def utilization(
         raise ValueError(f"slot width {width} us makes more than {MAX_SLOTS} slots")
     slots: list[UtilizationSlot] = []
     entity = dict(zip(s.runs, s.entities()))
-    acc: dict[int, int] = {}  # the open slot's charge per entity code
+    owners, bounds = memoryview(s.owners), memoryview(s.bounds)
+    # Slices tile the window in time order.  Each slot sums the slices that
+    # meet it, less what the first and the last of them hold outside it.
     slot_start = view_start
-    slot_end = min(view_start + width, view_end)
-    first = bisect_right(s.bounds, view_start) - 1  # the slice holding the view start
-    ends = memoryview(s.bounds)[first + 1 :]
-    # Slices tile the window in time order.  One walk charges each into the
-    # open slot; a slice reaching the slot's end closes that slot and each
-    # later slot it covers whole.  The walk ends when the last slot closes.
-    for code, a, b in zip(islice(s.owners, first, None), chain((view_start,), ends), ends):
-        if b < slot_end:
+    i = bisect_right(bounds, view_start) - 1  # the slice holding the slot start
+    while True:
+        slot_end = min(slot_start + width, view_end)
+        j = bisect_left(bounds, slot_end, i + 1)  # slices i to j - 1 meet the slot
+        acc: dict[int, int] = {}  # the slot's charge per entity code
+        for code, a, b in zip(owners[i:j], bounds[i:j], bounds[i + 1 : j + 1]):
             acc[code] = acc.get(code, 0) + (b - a)
-            continue
-        while b >= slot_end:
-            acc[code] = acc.get(code, 0) + (slot_end - a)
-            span = slot_end - slot_start
-            fractions = [(entity[c], us / span) for c, us in sorted(acc.items())]
-            slots.append(UtilizationSlot(slot_start, span, span < width, fractions))
-            if slot_end == view_end:
-                return UtilizationReport(s.window, clipped, width, slots)
-            acc.clear()
-            a = slot_start = slot_end
-            slot_end = min(slot_end + width, view_end)
-        if a < b:
-            acc[code] = b - a
+        acc[owners[i]] -= slot_start - bounds[i]
+        acc[owners[j - 1]] -= bounds[j] - slot_end
+        span = slot_end - slot_start
+        fractions = [(entity[c], us / span) for c, us in sorted(acc.items())]
+        slots.append(UtilizationSlot(slot_start, span, span < width, fractions))
+        if slot_end == view_end:
+            return UtilizationReport(s.window, clipped, width, slots)
+        slot_start = slot_end
+        i = j if bounds[j] == slot_end else j - 1
 
 
 def _series(samples: list[int], bins: int) -> SeriesStats:

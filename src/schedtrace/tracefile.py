@@ -149,9 +149,10 @@ def parse_trace(source, strict: bool = True) -> EventLog:
     raises EmptyTraceError in both modes.
     """
     if not isinstance(source, (str, bytes)):
-        lines = list(source)
-        lf = b"\n" if lines and isinstance(lines[0], bytes) else "\n"
-        source = lf.join(line.removesuffix(lf) for line in lines)
+        lines = iter(source)
+        first = next(lines, "")
+        lf = b"\n" if isinstance(first, bytes) else "\n"
+        source = lf.join([first.removesuffix(lf), *(line.removesuffix(lf) for line in lines)])
     text = _decode(source) if isinstance(source, bytes) else source
     ats, kinds, firsts, seconds = columns = [array("q") for _ in range(4)]
     add_at, add_kind, add_a, add_b = ats.append, kinds.append, firsts.append, seconds.append

@@ -334,7 +334,7 @@ def test_timeline_of_ids_that_never_repeat_adds_a_few_words_per_segment():
         tracemalloc.stop()
     n = sum(len(e.segments) for e in rep.entities)
     assert n > 290_000
-    assert peak <= 230 * n, f"{peak / n:.0f} B per segment"
+    assert peak <= 245 * n, f"{peak / n:.0f} B per segment"
 
 
 def test_timeline_merges_segments_across_self_switch():
