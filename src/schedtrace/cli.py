@@ -169,6 +169,60 @@ def _warn(diagnostics, violations=(), trace=None):
     sys.stderr.write("".join(lines))
 
 
+def _may_fork() -> bool:
+    """Whether a second process may write a report: fork exists, it is safe and it pays."""
+    if not hasattr(os, "fork"):
+        return False
+    import threading  # here, so that only a run that may fork names it
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return threading.active_count() == 1 and cpus > 1
+
+
+def _fork_last(names: list[str], emit) -> None:
+    """Call `emit` on each name, on the last one in a forked child meanwhile.
+
+    The child sends what it raised through a pipe and ends with os._exit, so it
+    never returns into the caller; one that cannot send its error exits 1.  The
+    parent emits the others, raises its own error first, then the child's, and
+    reaps the child on every path.
+    """
+    import pickle
+
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None if started closed
+        stream.flush()  # or the child would hold a copy of what they buffer
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_end)
+        status = 0
+        try:
+            emit(names[-1])
+        except BaseException as exc:  # handed to the parent, which raises it
+            status = 1
+            message = pickle.dumps(exc)
+            with open(write_end, "wb") as pipe:
+                pipe.write(message)
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            for name in names[:-1]:
+                emit(name)
+            message = pipe.read()
+    finally:  # the pipe is closed first, so a child still writing to it ends
+        _, status = os.waitpid(pid, 0)
+    if message:
+        raise pickle.loads(message)  # bytes written by the child above
+    if status:
+        code = os.waitstatus_to_exitcode(status)
+        raise ChildProcessError(f"the process writing the {names[-1]} report exited with {code}")
+
+
 def _cmd_analyze(ns) -> int:
     reports = [name for name in REPORT_TYPES if name in (ns.reports or ())]
     if not reports:
@@ -189,7 +243,6 @@ def _cmd_analyze(ns) -> int:
             directory = os.path.join(ns.output_dir, stem)
             raise _UsageError(f"traces {stems[stem]} and {path} would both write {directory}")
         stems[stem] = path
-    first_doc = True
     for path in ns.traces:
         log = parse_trace_file(path, strict=not ns.lenient)
         sliceset = build_slices(log, strict=not ns.lenient)
@@ -197,17 +250,25 @@ def _cmd_analyze(ns) -> int:
         del log  # the reports can reuse the event log's memory
         zoom = _zoom(reports, sliceset, ns)
         directory = os.path.join(ns.output_dir, _stem(path)) if multi else ns.output_dir
-        for name in reports:
+
+        def emit(name):  # one report, released when written
             report = _compute(name, sliceset, ns, zoom)
             if directory:
                 with _open(directory, f"{name}.{_EXTENSIONS[ns.format]}") as handle:
                     write_report(report, ns.format, handle)
                 if name == "stats" and ns.format == CSV:
                     _write(directory, "stats_histograms.csv", render_stats_histograms_csv(report))
-            else:
-                sys.stdout.write("" if first_doc else "\n")  # a blank line parts documents
+            else:  # stdout takes one trace only
+                sys.stdout.write("" if name == reports[0] else "\n")  # a blank line parts documents
                 write_report(report, ns.format, sys.stdout)
-                first_doc = False
+
+        # reports to files may be written two at a time: the last, which is
+        # the largest in a full run, by a forked child
+        if directory and len(reports) > 1 and _may_fork():
+            _fork_last(reports, emit)
+        else:
+            for name in reports:
+                emit(name)
     return EXIT_OK
 
 

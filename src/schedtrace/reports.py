@@ -37,10 +37,7 @@ from .stats import (
     Histogram,
     SampleSummary,
     UniformFit,
-    fit_exponential,
-    fit_uniform,
-    histogram,
-    summarize,
+    describe,
 )
 
 RUNNING = "running"
@@ -221,17 +218,13 @@ def utilization(
 
 
 def _series(samples: list[int], bins: int) -> SeriesStats:
+    summary, hist, exponential, uniform, dropped = describe(samples, bins)
     notes: list[str] = []
-    positives = [x for x in samples if x > 0]
-    if len(positives) < len(samples):
-        dropped = len(samples) - len(positives)
+    if dropped:
         notes.append(f"{dropped} zero sample(s) excluded from the exponential fit")
-    exponential = fit_exponential(positives) if positives else None
     if exponential is None:
         notes.append("exponential fit skipped: no positive samples")
-    return SeriesStats(
-        summarize(samples), histogram(samples, bins), exponential, fit_uniform(samples), notes
-    )
+    return SeriesStats(summary, hist, exponential, uniform, notes)
 
 
 def task_statistics(s: SliceSet, bins: int = 20) -> StatsReport:
@@ -766,8 +759,9 @@ def _segment_rows(cells, pad, tail) -> Iterator[str]:
 
 def _fraction_rows(cells, pad, tail) -> Iterator[str]:
     head, k2, k3, close = _row_text(_FRACTION, pad, tail)
-    for entity, fraction in cells:
-        yield f"{head}{_plain(entity.kind_name)}{k2}{entity.id}{k3}{fraction!r}{close}"
+    kinds = {kind: _STRINGS[Entity(kind, 0).kind_name] for kind in EntityKind}  # json text
+    for (kind, eid), fraction in cells:
+        yield f"{head}{kinds[kind]}{k2}{eid}{k3}{fraction!r}{close}"
 
 
 _JSON_ROWS = {TimelineSegment: _segment_rows, _FRACTION: _fraction_rows}

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import accumulate, chain, repeat
+from operator import floordiv, mul, sub, truediv
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import EmptySampleError, SampleDomainError
 
@@ -51,6 +54,21 @@ def summarize(samples: Sequence) -> SampleSummary:
     return SampleSummary(len(samples), total, min(samples), max(samples), total / len(samples))
 
 
+class _Tally(NamedTuple):
+    """A sample series counted once: its sorted distinct values and the count of each."""
+
+    values: list
+    ties: list
+    n: int
+
+
+def _tally(samples) -> _Tally:
+    counts = Counter(samples)
+    values = sorted(counts)
+    ties = list(map(counts.__getitem__, values))
+    return _Tally(values, ties, sum(ties))
+
+
 def histogram(samples: Sequence, bins: int = 20) -> Histogram:
     """Equal-width histogram over [min, max].
 
@@ -66,19 +84,23 @@ def histogram(samples: Sequence, bins: int = 20) -> Histogram:
         raise ValueError(f"bins must be from 1 to {MAX_BINS}")
     if not samples:
         raise EmptySampleError("cannot histogram zero samples")
-    lo = min(samples)
-    hi = max(samples)
+    return _histogram(_tally(samples), bins)
+
+
+def _histogram(tally: _Tally, bins: int) -> Histogram:
+    lo = tally.values[0]
+    hi = tally.values[-1]
     if lo == hi:
-        return Histogram([float(lo), float(lo + 1)], [len(samples)])
+        return Histogram([float(lo), float(lo + 1)], [tally.n])
     span = hi - lo
-    counts = [0] * bins
-    last = bins - 1
-    # a bin is a function of the sample value: place each distinct value once
-    for x, ties in Counter(samples).items():
-        idx = int((x - lo) * bins // span)
-        if idx > last:
-            idx = last
-        counts[idx] += ties
+    # a bin is a function of the sample value, and it grows with the value:
+    # the distinct values of bin i start where their index first reaches i,
+    # and x == max, whose index is `bins`, stays in the last bin
+    offsets = map(sub, tally.values, repeat(lo))
+    index = list(map(floordiv, map(mul, offsets, repeat(bins)), repeat(span)))
+    cuts = [0, *map(bisect_left, repeat(index), range(1, bins)), len(index)]
+    ranks = [0, *accumulate(tally.ties)].__getitem__
+    counts = list(map(sub, map(ranks, cuts[1:]), map(ranks, cuts[:-1])))
     edges = [lo + span * i / bins for i in range(bins + 1)]
     return Histogram(edges, counts)
 
@@ -93,22 +115,19 @@ def ks_statistic(samples: Sequence, cdf: Callable[[float], float]) -> float:
     in k, also in floating point), so the model is evaluated once per
     distinct sample value.
     """
-    counts = Counter(samples)
-    n = sum(counts.values())
-    if n == 0:
+    tally = _tally(samples)
+    if tally.n == 0:
         raise EmptySampleError("cannot compute a KS statistic on zero samples")
-    worst = 0.0
-    rank = 0
-    for x in sorted(counts):
-        model = cdf(x)
-        below = abs(rank / n - model)
-        rank += counts[x]
-        above = abs(rank / n - model)
-        if below > worst:
-            worst = below
-        if above > worst:
-            worst = above
-    return worst
+    return _ks(tally, list(map(cdf, tally.values)))
+
+
+def _ks(tally: _Tally, model: list) -> float:
+    """ks_statistic of a tally, given the model CDF at each distinct value."""
+    n = tally.n
+    after = list(accumulate(tally.ties))  # the rank at each value's last tie
+    below = map(sub, map(truediv, chain((0,), after), repeat(n)), model)
+    above = map(sub, map(truediv, after, repeat(n)), model)
+    return max(map(abs, chain(below, above)))
 
 
 def fit_exponential(samples: Sequence) -> ExponentialFit:
@@ -121,21 +140,50 @@ def fit_exponential(samples: Sequence) -> ExponentialFit:
     total = sum(samples)
     if min(samples) <= 0:
         raise SampleDomainError("exponential fit requires strictly positive samples")
-    n = len(samples)
+    return _exponential(_tally(samples), total)
+
+
+def _exponential(tally: _Tally, total) -> ExponentialFit:
+    n = tally.n
     rate = n / total
     log_likelihood = n * math.log(rate) - rate * total
-    ks = ks_statistic(samples, lambda x: 1.0 - math.exp(-rate * x))
-    return ExponentialFit(rate, log_likelihood, ks)
+    # 1.0 - exp(-rate * x) at each distinct value
+    model = list(map(sub, repeat(1.0), map(math.exp, map(mul, repeat(-rate), tally.values))))
+    return ExponentialFit(rate, log_likelihood, _ks(tally, model))
 
 
 def fit_uniform(samples: Sequence) -> UniformFit:
     """Uniform fit over the sample extremes; ks is 0 for a degenerate range."""
     if not samples:
         raise EmptySampleError("cannot fit a distribution to zero samples")
-    lower = min(samples)
-    upper = max(samples)
+    return _uniform(_tally(samples))
+
+
+def _uniform(tally: _Tally) -> UniformFit:
+    lower = tally.values[0]
+    upper = tally.values[-1]
     if lower == upper:
         return UniformFit(lower, upper, 0.0)
     span = upper - lower
-    ks = ks_statistic(samples, lambda x: (x - lower) / span)
-    return UniformFit(lower, upper, ks)
+    # (x - lower) / span at each distinct value
+    model = list(map(truediv, map(sub, tally.values, repeat(lower)), repeat(span)))
+    return UniformFit(lower, upper, _ks(tally, model))
+
+
+def describe(samples: Sequence[int], bins: int):
+    """summarize, histogram and fit_uniform of a non-empty integer sample
+    series, fit_exponential of its positive samples (None if there are none)
+    and the number of samples that fit leaves out: the series is counted once
+    for all of them.  `bins` is 1 to MAX_BINS.
+    """
+    summary = summarize(samples)
+    if not 1 <= bins <= MAX_BINS:
+        raise ValueError(f"bins must be from 1 to {MAX_BINS}")
+    tally = _tally(samples)
+    k = bisect_right(tally.values, 0)  # where the positive values start
+    positive = _Tally(tally.values[k:], tally.ties[k:], tally.n - sum(tally.ties[:k]))
+    exponential = None
+    if positive.n:  # integer samples: their total is exact in any order
+        exponential = _exponential(positive, sum(map(mul, positive.values, positive.ties)))
+    hist = _histogram(tally, bins)
+    return summary, hist, exponential, _uniform(tally), tally.n - positive.n

@@ -68,11 +68,11 @@ _CHUNK = 1 << 16  # characters per findall, so per-line objects never outgrow a 
 _SMALL = {**{str(i): i for i in range(1000)}, **{f"{i:03d}": i for i in range(1000)}}
 
 
-def _prefix_us(prefix: str) -> int | None:
-    """Microseconds of the first group of _EVENT_RE, or None if out of range."""
-    h, m, s, ms = prefix.split()
+def _second_us(second: str) -> int | None:
+    """Microseconds of the h/m/s part of _EVENT_RE's first group, or None if out of range."""
+    h, m, s = second.split()
     try:
-        return timestamp_from_fields(int(h[:-1]), int(m[:-1]), int(s[:-1]), int(ms), 0)
+        return timestamp_from_fields(int(h[:-1]), int(m[:-1]), int(s[:-1]), 0, 0)
     except TimestampRangeError:
         return None
 
@@ -154,11 +154,15 @@ def parse_trace(source, strict: bool = True) -> EventLog:
         lf = b"\n" if isinstance(first, bytes) else "\n"
         source = lf.join([first.removesuffix(lf), *(line.removesuffix(lf) for line in lines)])
     text = _decode(source) if isinstance(source, bytes) else source
-    ats, kinds, firsts, seconds = columns = [array("q") for _ in range(4)]
+    columns = [array("q") for _ in range(4)]
+    # a chunk's events go to lists, whose append is cheaper than array's,
+    # and then to the columns at once
+    ats, kinds, firsts, seconds = pending = [[] for _ in range(4)]
     add_at, add_kind, add_a, add_b = ats.append, kinds.append, firsts.append, seconds.append
     diagnostics: list[ParseDiagnostic] = []
     number = _SMALL.get  # number(digits) or int(digits) is int(digits)
-    prefix_key = prefix_base = None
+    # the clock text up to the millisecond, and up to the second, last converted
+    prefix_key = prefix_base = second_key = second_base = None
     last_at = start = lineno = 0
     while start < len(text):
         stop = text.find("\n", start + _CHUNK) + 1 or len(text)
@@ -167,7 +171,12 @@ def parse_trace(source, strict: bool = True) -> EventLog:
             if prefix:
                 if prefix != prefix_key:
                     prefix_key = prefix
-                    prefix_base = _prefix_us(prefix)
+                    second, ms = prefix.rsplit(None, 1)
+                    if second != second_key:
+                        second_key, second_base = second, _second_us(second)
+                    ms = number(ms) or int(ms)
+                    in_range = second_base is not None and ms < 1000
+                    prefix_base = second_base + ms * 1000 if in_range else None
                 at = number(us) or int(us)
                 if prefix_base is not None and at < 1000:
                     at += prefix_base
@@ -195,8 +204,11 @@ def parse_trace(source, strict: bool = True) -> EventLog:
             if strict:
                 raise ParseError(kind, message, line=lineno)
             diagnostics.append(ParseDiagnostic(lineno, kind, message))
+        for column, values in zip(columns, pending):
+            column.fromlist(values)
+            values.clear()
         start = stop
-    if not ats:
+    if not columns[0]:
         raise EmptyTraceError("trace contains no events")
     return EventLog(*columns, diagnostics)
 

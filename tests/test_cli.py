@@ -1,7 +1,9 @@
 """Command line behavior: exit codes, file outputs, stdout contracts."""
 
 import io
+import os
 import sys
+import threading
 
 import pytest
 
@@ -12,6 +14,7 @@ from schedtrace import (
     Run,
     SliceSet,
     TaskSchedule,
+    TimelineReport,
     TimelineSegment,
     average_load,
     build_slices,
@@ -21,6 +24,7 @@ from schedtrace import (
     timeline,
     utilization,
 )
+from schedtrace import cli
 from schedtrace.cli import run
 from tests.conftest import SHORT_TRACE
 
@@ -406,6 +410,128 @@ def test_analyze_removes_a_report_file_whose_writing_fails(trace_file, tmp_path,
     assert run(["analyze", trace_file, "--report", "load", "-o", str(out)]) == 1
     assert capsys.readouterr().err == "error: disk full\n"
     assert list(out.iterdir()) == []
+
+
+_ALL_REPORTS = [arg for name in ("load", "utilization", "stats", "timeline") for arg in ("--report", name)]
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The pids analyze forks, on a host of any CPU count; no child may outlive the test."""
+    pids = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    yield pids
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _files(directory):
+    return {p.relative_to(directory): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_analyze_forked_writes_what_one_process_writes(trace_file, tmp_path, monkeypatch, forks, fmt):
+    other = tmp_path / "second.txt"
+    other.write_text(SHORT_TRACE)
+    for traces in ([trace_file], [trace_file, str(other)]):
+        args = ["analyze", *traces, *_ALL_REPORTS, "--format", fmt, "-o"]
+        forked, serial = tmp_path / f"forked{len(traces)}", tmp_path / f"serial{len(traces)}"
+        assert run([*args, str(forked)]) == 0
+        with monkeypatch.context() as one_process:
+            one_process.delattr(os, "fork")
+            assert run([*args, str(serial)]) == 0
+        written = _files(serial)
+        assert _files(forked) == written
+        assert len(written) == (4 + (fmt == "csv")) * len(traces)
+    assert len(forks) == 3  # one per trace
+
+
+def test_analyze_forked_child_error_is_the_error_of_one_process(trace_file, tmp_path, monkeypatch, capsys, forks):
+    out = tmp_path / "out"
+    (out / "timeline.txt").mkdir(parents=True)
+    assert run(["analyze", trace_file, *_ALL_REPORTS, "-o", str(out)]) == 1
+    forked = capsys.readouterr()
+    assert len(forks) == 1
+    assert forked.out == "" and forked.err.startswith("error: ")
+    assert forked.err.endswith(f"{out / 'timeline.txt'}'\n")
+    # the parent's reports are complete; the child's file was never opened
+    assert sorted(p.name for p in out.iterdir() if p.is_file()) == ["load.txt", "stats.txt", "utilization.txt"]
+    monkeypatch.delattr(os, "fork")
+    assert run(["analyze", trace_file, *_ALL_REPORTS, "-o", str(out)]) == 1
+    assert capsys.readouterr() == forked
+
+
+def test_analyze_forked_child_removes_its_partial_file(trace_file, tmp_path, monkeypatch, capsys, forks):
+    def write_report(report, fmt, stream):
+        stream.write("partial")
+        if isinstance(report, TimelineReport):
+            raise OSError("disk full")
+        stream.write(" and done")
+
+    monkeypatch.setattr("schedtrace.cli.write_report", write_report)
+    out = tmp_path / "out"
+    assert run(["analyze", trace_file, *_ALL_REPORTS, "-o", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: disk full\n")
+    assert len(forks) == 1
+    assert {p.name: p.read_text() for p in out.iterdir()} == {
+        name: "partial and done" for name in ("load.txt", "utilization.txt", "stats.txt")
+    }
+
+
+@pytest.mark.parametrize("error, code", [(OSError("disk full"), 1), (ValueError("bug"), None)])
+def test_analyze_failing_parent_still_reaps_the_child(trace_file, tmp_path, monkeypatch, capsys, forks, error, code):
+    compute = cli._compute
+
+    def failing_stats(name, *args):
+        if name == "stats":
+            raise error
+        return compute(name, *args)
+
+    monkeypatch.setattr(cli, "_compute", failing_stats)
+    out = tmp_path / "out"
+    args = ["analyze", trace_file, *_ALL_REPORTS, "-o", str(out)]
+    if code is None:  # not an error of the trace or the files: it propagates
+        with pytest.raises(ValueError, match="bug"):
+            run(args)
+    else:
+        assert run(args) == code
+        assert capsys.readouterr().err == "error: disk full\n"
+    assert len(forks) == 1
+    # the child wrote its report whole before the parent reaped it
+    assert sorted(p.name for p in out.iterdir()) == ["load.txt", "timeline.txt", "utilization.txt"]
+    assert (out / "timeline.txt").read_text() == render(timeline(_slices()), "text")
+
+
+def test_analyze_forks_only_for_reports_to_files_in_one_thread_on_two_cpus(
+    trace_file, tmp_path, monkeypatch, capsys, forks
+):
+    assert run(["analyze", trace_file, *_ALL_REPORTS]) == 0  # to stdout
+    assert run(["analyze", trace_file, "--report", "timeline", "-o", str(tmp_path / "one")]) == 0
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        assert run(["analyze", trace_file, *_ALL_REPORTS, "-o", str(tmp_path / "threaded")]) == 0
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        one_cpu.setattr(os, "cpu_count", lambda: 1)
+        assert run(["analyze", trace_file, *_ALL_REPORTS, "-o", str(tmp_path / "one-cpu")]) == 0
+    assert forks == []
+    assert run(["analyze", trace_file, *_ALL_REPORTS, "-o", str(tmp_path / "forked")]) == 0
+    assert len(forks) == 1
 
 
 def test_analyze_inconsistent_trace_exit_codes(tmp_path, capsys):

@@ -391,6 +391,41 @@ def test_every_source_type_numbers_lines_alike(tmp_path):
     assert exc.value.line == 3
 
 
+# Clock texts that the parser's caches of the last second and millisecond
+# must not confuse: a new millisecond of a cached second, the same second
+# written with other spacing, out-of-range fields right after a cached
+# second, and the cached second again after them.
+_CLOCKS = (
+    "<0001h 02m 03s 004 005> Task schedule: old 0 new 1\n"
+    "<0001h 02m 03s 007 000> IRQ begin: 3\n"
+    "<0001h 02m 03s 1000 000> IRQ end: 3\n"
+    "<0001h 02m 03s 0007 001> IRQ end: 3\n"
+    "<0001h\t02m  03s 007 002> Task schedule: old 1 new 2\n"
+    "<10000h 02m 03s 007 003> Task schedule: old 2 new 1\n"
+    "<0001h 02m 03s 008 000> Task schedule: old 2 new 3\n"
+    "<0001h 02m 60s 008 000> Task schedule: old 3 new 1\n"
+    "<0001h 02m 03s 999 999> Task schedule: old 3 new 4\n"
+    "<0001h 02m 04s 000 000> Task schedule: old 4 new 5\n"
+    "<0001h 02m 04s 000 000> Task schedule: old 5 new 6\n"
+    "<0001h 02m 03s 999 999> Task schedule: old 6 new 7\n"
+)
+
+
+def test_parse_trace_converts_each_clock_text_as_the_oracle():
+    events, diagnostics = _same_as_oracle(_CLOCKS)
+    second = ((1 * 60 + 2) * 60 + 3) * 1_000_000
+    assert [ev.at - second for _, ev in events] == [4005, 7000, 7001, 7002, 8000, 999_999, 1_000_000, 1_000_000]
+    assert [(d.line, d.kind) for d in diagnostics] == [
+        (3, DiagnosticKind.MALFORMED_TIMESTAMP),
+        (6, DiagnosticKind.MALFORMED_TIMESTAMP),
+        (8, DiagnosticKind.MALFORMED_TIMESTAMP),
+        (12, DiagnosticKind.NON_MONOTONIC_TIMESTAMP),
+    ]
+    with pytest.raises(ParseError) as exc:
+        parse_trace(_CLOCKS)
+    assert (exc.value.line, exc.value.kind) == (3, DiagnosticKind.MALFORMED_TIMESTAMP)
+
+
 @pytest.mark.parametrize("chunk", [0, 1, 7, 60, 200])
 def test_slices_cut_anywhere_give_the_same_lines(monkeypatch, chunk):
     monkeypatch.setattr("schedtrace.tracefile._CHUNK", chunk)
