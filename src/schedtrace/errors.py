@@ -22,6 +22,9 @@ class _LineError(TraceError):
             return f"line {self.line}: {self.message}"
         return self.message
 
+    def __reduce__(self):  # pickle rebuilds the error from its fields, not from args
+        return type(self), (self.message, self.line)
+
 
 class ParseError(_LineError):
     """A trace line (or a whole file, in strict mode) could not be parsed."""
@@ -29,6 +32,9 @@ class ParseError(_LineError):
     def __init__(self, kind, message, line=None):
         self.kind = kind
         super().__init__(message, line)
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.message, self.line)
 
 
 class EmptyTraceError(TraceError):
@@ -43,6 +49,9 @@ class ConsistencyError(TraceError):
         super().__init__(
             f"{violation.kind.value} at {violation.at} us: {violation.detail}"
         )
+
+    def __reduce__(self):
+        return type(self), (self.violation,)
 
 
 class EmptyWindowError(TraceError):

@@ -278,5 +278,10 @@ class SliceSet:
         return {entity_of(code): sum(t[2::3]) for code, t in self.runs.items()}
 
     def entities(self) -> list[Entity]:
-        """Every entity that was scheduled or invoked, tasks first, ids ascending."""
-        return list(map(entity_of, self.runs))
+        """Every entity that was scheduled or invoked, tasks first, ids ascending:
+        the Entity of each code of `runs`, built on the first call and then
+        shared by every call, so do not change it."""
+        built = self.__dict__.get("_entities")
+        if built is None:  # a frozen dataclass: its __dict__ takes the cache
+            built = self.__dict__["_entities"] = list(map(entity_of, self.runs))
+        return built

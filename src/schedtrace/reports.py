@@ -28,7 +28,6 @@ from .model import (
     IDLE,
     SliceSet,
     Window,
-    entity_of,
     format_timestamp,
     tiling,
 )
@@ -172,7 +171,7 @@ def average_load(s: SliceSet) -> LoadReport:
     """Net time and fraction of the window per entity; idle is task 0's share."""
     duration = clip_view(None, s.window).duration_us
     nets = {code: sum(runs[2::3]) for code, runs in s.runs.items()}
-    rows = [LoadRow(entity_of(c), net, net / duration) for c, net in nets.items() if net > 0]
+    rows = [LoadRow(e, net, net / duration) for e, net in zip(s.entities(), nets.values()) if net > 0]
     return LoadReport(s.window, rows, nets.get(IDLE.id, 0) / duration)
 
 
@@ -237,13 +236,13 @@ def task_statistics(s: SliceSet, bins: int = 20) -> StatsReport:
     """
     duration = clip_view(None, s.window).duration_us
     rows = []
-    for code, runs in s.runs.items():
+    for (code, runs), entity in zip(s.runs.items(), s.entities()):
         execution = _series(runs[2::3].tolist(), bins)
         net = execution.summary.total
         ins = s.schedule_ins.get(code, ())  # an IRQ's code is no task's id
         period = _series([b - a for a, b in zip(ins, ins[1:])], bins) if len(ins) >= 2 else None
         n = len(runs) // 3  # dispatches: one triple each
-        rows.append(EntityStats(entity_of(code), net, net / duration, n, execution, period))
+        rows.append(EntityStats(entity, net, net / duration, n, execution, period))
     return StatsReport(s.window, bins, rows)
 
 
@@ -313,24 +312,28 @@ def _irq_track(runs: array, view: Window) -> tuple[list[str], array]:
     return states, bounds
 
 
-def timeline(s: SliceSet, view=None) -> TimelineReport:
+def timeline(s: SliceSet, view=None, kind: EntityKind | None = None) -> TimelineReport:
     """Per-entity state segments tiling the view.
 
     Task states are running / preempted_by_irq / inactive; IRQ states are
     active / inactive (a handler is active while anywhere on the IRQ stack,
     nested handlers included).  Every entity active anywhere in the window is
-    listed, even if it never runs inside a zoomed view.
+    listed, even if it never runs inside a zoomed view.  With `kind`, only
+    the entities of that kind are listed and their tracks computed: the task
+    or the IRQ part of the report (see write_timeline_part).
     """
     clipped = clip_view(view, s.window)
-    task_tracks = _task_tracks(s, clipped)
+    task_tracks = {} if kind is EntityKind.IRQ else _task_tracks(s, clipped)
     entities = []
-    for code, runs in s.runs.items():
+    for (code, runs), entity in zip(s.runs.items(), s.entities()):
+        if kind is not None and entity.kind is not kind:
+            continue
         states, bounds = task_tracks[code] if code < IRQ_CODE else _irq_track(runs, clipped)
         if bounds[-1] < clipped.end:
             states.append(INACTIVE)
             bounds.append(clipped.end)
         track = EntityTimeline.__new__(EntityTimeline)  # it tiles: taken without a check
-        vars(track).update(entity=entity_of(code), states=states, bounds=bounds)
+        vars(track).update(entity=entity, states=states, bounds=bounds)
         entities.append(track)
     return TimelineReport(s.window, clipped, entities)
 
@@ -533,20 +536,24 @@ def render_stats_histograms_csv(report: StatsReport) -> str:
 # timeline report rendering
 
 
-def _timeline_text(report: TimelineReport) -> Iterator[str]:
-    yield from _head(
-        "Task execution timeline",
-        report.window,
-        f"  view    {report.view.start} .. {report.view.end} us",
-        "",
-    )
-    label_w = max((len(e.entity.label) for e in report.entities), default=6)
+def _timeline_text(report: TimelineReport, label_w=None, head=True) -> Iterator[str]:
+    # a part of a report (see write_timeline_part) takes the whole report's
+    # label width, and only the part that opens it writes its head
+    if label_w is None:
+        label_w = max((len(e.entity.label) for e in report.entities), default=6)
     ts_w = len(str(report.view.end))
-    header = (
-        f"  {'entity'.ljust(label_w)}  {'state'.ljust(16)}  "
-        f"{'start_us'.rjust(ts_w)}  {'end_us'.rjust(ts_w)}  duration"
-    )
-    yield header.rstrip()
+    if head:
+        yield from _head(
+            "Task execution timeline",
+            report.window,
+            f"  view    {report.view.start} .. {report.view.end} us",
+            "",
+        )
+        header = (
+            f"  {'entity'.ljust(label_w)}  {'state'.ljust(16)}  "
+            f"{'start_us'.rjust(ts_w)}  {'end_us'.rjust(ts_w)}  duration"
+        )
+        yield header.rstrip()
     durations: dict[int, str] = {}  # rows repeat few distinct durations
     for ent in report.entities:
         prefix = "  " + ent.entity.label.ljust(label_w) + "  "
@@ -567,8 +574,9 @@ def _timeline_text(report: TimelineReport) -> Iterator[str]:
             a_text = b_text
 
 
-def _timeline_csv(report: TimelineReport) -> Iterator[str]:
-    yield "entity,kind,state,start_us,end_us"
+def _timeline_csv(report: TimelineReport, head=True) -> Iterator[str]:
+    if head:
+        yield "entity,kind,state,start_us,end_us"
     for ent in report.entities:
         eid = ent.entity.id
         kind = ent.entity.kind_name
@@ -767,11 +775,28 @@ def _fraction_rows(cells, pad, tail) -> Iterator[str]:
 _JSON_ROWS = {TimelineSegment: _segment_rows, _FRACTION: _fraction_rows}
 
 
-def _json(report: Report) -> Iterator[str]:
+def _json_head(report: Report) -> tuple[str, ...]:
     name, units, _, _ = _REPORTS[type(report)]
-    header = (f'  "report": {_plain(name)},', f'  "units": {_plain(units, "  ")},')
+    return "{", f'  "report": {_plain(name)},', f'  "units": {_plain(units, "  ")},'
+
+
+def _json(report: Report) -> Iterator[str]:
     members = chain.from_iterable(_json_members(report, type(report), "  ", ""))
-    return chain(("{",), header, members, ("}",))
+    return chain(_json_head(report), members, ("}",))
+
+
+def _timeline_json(part: TimelineReport, head: bool, more: bool) -> Iterator[str]:
+    """The json lines of a timeline part: the document's head or else its
+    end, and the part's entities, with a comma after the last if `more`."""
+    if head:
+        window, view, _ = _json_members(part, TimelineReport, "  ", "")
+        yield from chain(_json_head(part), window, view, ('  "entities": [',))
+    last = len(part.entities) - 1
+    for i, entity in enumerate(part.entities):
+        tail = "," if i < last or more else ""
+        yield from _json_value(entity, EntityTimeline, False, "    ", "    ", tail)
+    if not head:
+        yield from ("  ]", "}")
 
 
 def _load(data, cls, many=False):
@@ -825,6 +850,24 @@ def render(report: Report, fmt: str = TEXT) -> str:
 def write_report(report: Report, fmt: str, stream) -> None:
     """Write `render(report, fmt)` to an io text stream, in pieces as it is rendered."""
     stream.writelines(_pieces(report, fmt))
+
+
+def write_timeline_part(s: SliceSet, view, kind: EntityKind, fmt: str, stream) -> None:
+    """Write the lines of write_report(timeline(s, view), fmt, ...) that the
+    entities of `kind` give, computing only their tracks.  The task part
+    opens the document and the IRQ part ends it, so the two written one after
+    the other are the whole report."""
+    part = timeline(s, view, kind)
+    head = kind is EntityKind.TASK
+    if fmt == TEXT:
+        lines = _timeline_text(part, max(len(e.label) for e in s.entities()), head)
+    elif fmt == CSV:
+        lines = _timeline_csv(part, head)
+    elif fmt == JSON:  # the task part's last entity takes a comma if an IRQ follows
+        lines = _timeline_json(part, head, head and s.entities()[-1].kind is EntityKind.IRQ)
+    else:
+        raise ValueError(f"cannot render TimelineReport as {fmt!r}")
+    stream.writelines(_chunks(lines))
 
 
 def report_from_json(data) -> Report:

@@ -136,37 +136,40 @@ def read_text(path: str) -> str:
         return _decode(handle.read())
 
 
-def parse_trace(source, strict: bool = True) -> EventLog:
-    """Parse a whole trace into an EventLog.
+class Span(NamedTuple):
+    """What parse_span found: the four event columns, the diagnostics, and
+    in strict mode the error at the first bad line, if any, where it stopped."""
 
-    `source` may be text, bytes, or an iterable of lines of either, such as a
-    file open in either mode.  In text and bytes only LF ends a line.  The
-    lines of an iterable are joined with LFs, one trailing LF of each removed
-    first, so line numbers count them unless one holds an LF inside.  Blank
-    lines are skipped.  Strict mode raises ParseError (with the line number)
-    on the first bad line or backwards timestamp; lenient mode skips each
-    offender and records a diagnostic instead.  A trace yielding zero events
-    raises EmptyTraceError in both modes.
-    """
-    if not isinstance(source, (str, bytes)):
-        lines = iter(source)
-        first = next(lines, "")
-        lf = b"\n" if isinstance(first, bytes) else "\n"
-        source = lf.join([first.removesuffix(lf), *(line.removesuffix(lf) for line in lines)])
-    text = _decode(source) if isinstance(source, bytes) else source
+    columns: list[array]
+    diagnostics: list[ParseDiagnostic]
+    error: ParseError | None
+
+
+def _event_log(span: Span) -> EventLog:
+    if span.error is not None:
+        raise span.error
+    if not span.columns[0]:
+        raise EmptyTraceError("trace contains no events")
+    return EventLog(*span.columns, span.diagnostics)
+
+
+def parse_span(text: str, start: int, stop: int, strict: bool, last_at: int = 0, line: int = 0) -> Span:
+    """Parse the lines of text[start:stop], which start and stop at line
+    boundaries, after `line` lines whose last event was at `last_at` us."""
     columns = [array("q") for _ in range(4)]
     # a chunk's events go to lists, whose append is cheaper than array's,
     # and then to the columns at once
     ats, kinds, firsts, seconds = pending = [[] for _ in range(4)]
     add_at, add_kind, add_a, add_b = ats.append, kinds.append, firsts.append, seconds.append
     diagnostics: list[ParseDiagnostic] = []
+    error = None
     number = _SMALL.get  # number(digits) or int(digits) is int(digits)
     # the clock text up to the millisecond, and up to the second, last converted
     prefix_key = prefix_base = second_key = second_base = None
-    last_at = start = lineno = 0
-    while start < len(text):
-        stop = text.find("\n", start + _CHUNK) + 1 or len(text)
-        rows = _EVENT_RE.findall(text, start, stop - (text[stop - 1] == "\n"))
+    lineno = line
+    while start < stop and error is None:
+        chunk_end = text.find("\n", start + _CHUNK, stop) + 1 or stop
+        rows = _EVENT_RE.findall(text, start, chunk_end - (text[chunk_end - 1] == "\n"))
         for lineno, (prefix, us, old, new, begin, end, rest) in enumerate(rows, lineno + 1):
             if prefix:
                 if prefix != prefix_key:
@@ -202,15 +205,63 @@ def parse_trace(source, strict: bool = True) -> EventLog:
             else:
                 continue
             if strict:
-                raise ParseError(kind, message, line=lineno)
+                error = ParseError(kind, message, line=lineno)
+                break
             diagnostics.append(ParseDiagnostic(lineno, kind, message))
         for column, values in zip(columns, pending):
             column.fromlist(values)
             values.clear()
-        start = stop
-    if not columns[0]:
-        raise EmptyTraceError("trace contains no events")
-    return EventLog(*columns, diagnostics)
+        start = chunk_end
+    return Span(columns, diagnostics, error)
+
+
+def parse_trace(source, strict: bool = True) -> EventLog:
+    """Parse a whole trace into an EventLog.
+
+    `source` may be text, bytes, or an iterable of lines of either, such as a
+    file open in either mode.  In text and bytes only LF ends a line.  The
+    lines of an iterable are joined with LFs, one trailing LF of each removed
+    first, so line numbers count them unless one holds an LF inside.  Blank
+    lines are skipped.  Strict mode raises ParseError (with the line number)
+    on the first bad line or backwards timestamp; lenient mode skips each
+    offender and records a diagnostic instead.  A trace yielding zero events
+    raises EmptyTraceError in both modes.
+    """
+    if not isinstance(source, (str, bytes)):
+        lines = iter(source)
+        first = next(lines, "")
+        lf = b"\n" if isinstance(first, bytes) else "\n"
+        source = lf.join([first.removesuffix(lf), *(line.removesuffix(lf) for line in lines)])
+    text = _decode(source) if isinstance(source, bytes) else source
+    return _event_log(parse_span(text, 0, len(text), strict))
+
+
+def parse_halves(text: str, strict: bool, both) -> EventLog:
+    """parse_trace(text, strict), its two halves parsed at once by `both`.
+
+    The text is cut after the line break that follows its middle.
+    `both(first, second)` calls the two and returns what each returned; it
+    may call `second`, which parses the second half, in another process.
+    That parse cannot know the first half's last timestamp, so it is kept
+    only if it accepted no event or its first event is not earlier than that
+    timestamp, the one case in which it is what one parse would have found;
+    else the second half is parsed again here.  Events, diagnostics, line
+    numbers and the first strict error are those of parse_trace.
+    """
+    cut = text.find("\n", len(text) // 2) + 1 or len(text)
+
+    def second_half(last_at=0):
+        return parse_span(text, cut, len(text), strict, last_at, text.count("\n", 0, cut))
+
+    head, tail = both(lambda: parse_span(text, 0, cut, strict), second_half)
+    if head.error is None:
+        last_at = head.columns[0][-1] if head.columns[0] else 0
+        if tail.columns[0] and tail.columns[0][0] < last_at:
+            tail = second_half(last_at)
+        for column, more in zip(head.columns, tail.columns):
+            column.extend(more)
+        head = Span(head.columns, head.diagnostics + tail.diagnostics, tail.error)
+    return _event_log(head)
 
 
 def parse_trace_file(path: str, strict: bool = True) -> EventLog:

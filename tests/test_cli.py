@@ -2,10 +2,13 @@
 
 import io
 import os
+import shutil
 import sys
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from schedtrace import (
     ExecutionSlice,
@@ -14,7 +17,6 @@ from schedtrace import (
     Run,
     SliceSet,
     TaskSchedule,
-    TimelineReport,
     TimelineSegment,
     average_load,
     build_slices,
@@ -26,7 +28,8 @@ from schedtrace import (
 )
 from schedtrace import cli
 from schedtrace.cli import run
-from tests.conftest import SHORT_TRACE
+from schedtrace.model import EntityKind
+from tests.conftest import SHORT_TRACE, gate_shaped_trace
 
 
 @pytest.fixture()
@@ -111,10 +114,10 @@ def test_analyze_multiple_traces_use_stem_subdirs(trace_file, tmp_path):
 
 
 def _refuse_to_read(monkeypatch):
-    def refuse(path, strict=True):
+    def refuse(path):
         raise AssertionError(f"read {path}")
 
-    monkeypatch.setattr("schedtrace.cli.parse_trace_file", refuse)
+    monkeypatch.setattr("schedtrace.cli.read_text", refuse)
 
 
 def test_analyze_refuses_two_traces_of_one_name(tmp_path, monkeypatch, capsys):
@@ -472,31 +475,48 @@ def test_analyze_forked_child_error_is_the_error_of_one_process(trace_file, tmp_
 
 def test_analyze_forked_child_removes_its_partial_file(trace_file, tmp_path, monkeypatch, capsys, forks):
     def write_report(report, fmt, stream):
+        stream.write("partial and done")
+
+    def write_timeline_part(s, view, kind, fmt, stream):
         stream.write("partial")
-        if isinstance(report, TimelineReport):
+        if kind is EntityKind.TASK:  # the child's part
             raise OSError("disk full")
-        stream.write(" and done")
 
     monkeypatch.setattr("schedtrace.cli.write_report", write_report)
+    monkeypatch.setattr("schedtrace.cli.write_timeline_part", write_timeline_part)
     out = tmp_path / "out"
     assert run(["analyze", trace_file, *_ALL_REPORTS, "-o", str(out)]) == 1
     assert capsys.readouterr() == ("", "error: disk full\n")
     assert len(forks) == 1
+    # neither the child's timeline nor the parent's IRQ part remains
     assert {p.name: p.read_text() for p in out.iterdir()} == {
         name: "partial and done" for name in ("load.txt", "utilization.txt", "stats.txt")
     }
 
 
-@pytest.mark.parametrize("error, code", [(OSError("disk full"), 1), (ValueError("bug"), None)])
-def test_analyze_failing_parent_still_reaps_the_child(trace_file, tmp_path, monkeypatch, capsys, forks, error, code):
-    compute = cli._compute
+def _fail_at(monkeypatch, errors):
+    """Make each job of `errors`, a report or ("timeline", part), raise its
+    error: a report before it opens its file, a part once it wrote some."""
+    compute, write_part = cli._compute, cli.write_timeline_part
 
-    def failing_stats(name, *args):
-        if name == "stats":
-            raise error
+    def failing_compute(name, *args):
+        if name in errors:
+            raise errors[name]
         return compute(name, *args)
 
-    monkeypatch.setattr(cli, "_compute", failing_stats)
+    def failing_part(s, view, kind, fmt, stream):
+        if ("timeline", kind) in errors:
+            stream.write("partial")
+            raise errors["timeline", kind]
+        write_part(s, view, kind, fmt, stream)
+
+    monkeypatch.setattr(cli, "_compute", failing_compute)
+    monkeypatch.setattr(cli, "write_timeline_part", failing_part)
+
+
+@pytest.mark.parametrize("error, code", [(OSError("disk full"), 1), (ValueError("bug"), None)])
+def test_analyze_failing_parent_still_reaps_the_child(trace_file, tmp_path, monkeypatch, capsys, forks, error, code):
+    _fail_at(monkeypatch, {"utilization": error})
     out = tmp_path / "out"
     args = ["analyze", trace_file, *_ALL_REPORTS, "-o", str(out)]
     if code is None:  # not an error of the trace or the files: it propagates
@@ -506,9 +526,45 @@ def test_analyze_failing_parent_still_reaps_the_child(trace_file, tmp_path, monk
         assert run(args) == code
         assert capsys.readouterr().err == "error: disk full\n"
     assert len(forks) == 1
-    # the child wrote its report whole before the parent reaped it
-    assert sorted(p.name for p in out.iterdir()) == ["load.txt", "timeline.txt", "utilization.txt"]
-    assert (out / "timeline.txt").read_text() == render(timeline(_slices()), "text")
+    # the child wrote stats whole before the parent reaped it; its timeline,
+    # which lacks the parent's IRQ part, is removed
+    assert sorted(p.name for p in out.iterdir()) == ["load.txt", "stats.txt"]
+    assert (out / "stats.txt").read_text() == render(task_statistics(_slices()), "text")
+
+
+def test_analyze_interrupted_parent_still_reaps_the_child(trace_file, tmp_path, monkeypatch, forks):
+    _fail_at(monkeypatch, {"utilization": KeyboardInterrupt()})  # not an error: it ends the run
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        run(["analyze", trace_file, *_ALL_REPORTS, "-o", str(out)])
+    assert len(forks) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["load.txt", "stats.txt"]
+
+
+_TASKS, _IRQS = ("timeline", EntityKind.TASK), ("timeline", EntityKind.IRQ)
+
+
+# Jobs that fail, on either side of the split, earliest first in report
+# order: the error is the first one's, which one process would hit first
+@pytest.mark.parametrize(
+    "jobs",
+    [("load", "stats"), ("utilization", _TASKS), ("stats", _IRQS), (_TASKS, _IRQS), (_IRQS,), ("stats",)],
+    ids=["load-stats", "utilization-tasks", "stats-irqs", "tasks-irqs", "irqs", "stats"],
+)
+def test_analyze_split_raises_the_error_one_process_hits_first(trace_file, tmp_path, monkeypatch, capsys, forks, jobs):
+    out, serial = tmp_path / "out", tmp_path / "serial"
+    with monkeypatch.context() as failing:
+        _fail_at(failing, {job: OSError(f"cannot write {job}") for job in jobs})
+        assert run(["analyze", trace_file, *_ALL_REPORTS, "-o", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: cannot write {jobs[0]}\n")
+    assert len(forks) == 1
+    with monkeypatch.context() as one_process:
+        one_process.delattr(os, "fork")
+        assert run(["analyze", trace_file, *_ALL_REPORTS, "-o", str(serial)]) == 0
+    # no part file and no timeline remain, and each report that does is whole
+    written = _files(out)
+    assert {p.name for p in written} <= {"load.txt", "utilization.txt", "stats.txt"}
+    assert written == {p: data for p, data in _files(serial).items() if p in written}
 
 
 def test_analyze_forks_only_for_reports_to_files_in_one_thread_on_two_cpus(
@@ -516,6 +572,8 @@ def test_analyze_forks_only_for_reports_to_files_in_one_thread_on_two_cpus(
 ):
     assert run(["analyze", trace_file, *_ALL_REPORTS]) == 0  # to stdout
     assert run(["analyze", trace_file, "--report", "timeline", "-o", str(tmp_path / "one")]) == 0
+    # neither stats nor the timeline: no work for a second process
+    assert run(["analyze", trace_file, "--report", "load", "--report", "utilization", "-o", str(tmp_path / "lu")]) == 0
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(60,))
     thread.start()
@@ -532,6 +590,169 @@ def test_analyze_forks_only_for_reports_to_files_in_one_thread_on_two_cpus(
     assert forks == []
     assert run(["analyze", trace_file, *_ALL_REPORTS, "-o", str(tmp_path / "forked")]) == 0
     assert len(forks) == 1
+
+
+@pytest.fixture()
+def split(monkeypatch, forks):
+    """The forked pids, with every trace parsed in two halves by two processes."""
+    monkeypatch.setattr(cli, "_SPLIT_CHARS", 1)
+    return forks
+
+
+def _halves(first: str, second: str) -> str:
+    """first + second, the last line of `first` padded with spaces so that
+    the parse cuts the text right after it."""
+    body, end = (first[:-2], "\r\n") if first.endswith("\r\n") else (first[:-1], "\n")
+    text = body + " " * (len(first) + len(second)) + end + second
+    assert text.find("\n", len(text) // 2) + 1 == len(text) - len(second)
+    return text
+
+
+def _line(us, payload="Task schedule: old 0 new 0"):
+    return f"<0000h 00m 00s {us // 1000:03d} {us % 1000:03d}> {payload}\n"
+
+
+def _outcome(args, capsys, out):
+    """Exit code, stdout, stderr and every file written of one run; `out` emptied first."""
+    shutil.rmtree(out, ignore_errors=True)
+    code = run(args)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, _files(out) if out.exists() else {}
+
+
+def _split_commands(path, out, fmt="text"):
+    analyze = ["analyze", path, *_ALL_REPORTS, "--format", fmt, "-o", str(out)]
+    validate = ["validate", path]
+    return [analyze, [*analyze, "--lenient"], validate, [*validate, "--lenient"]]
+
+
+def _same_outcome_as_one_process(args, capsys, monkeypatch, out, forks, stdin=None):
+    """Run `args` with and without fork; assert the same outcome, and that the parse forked."""
+    outcomes = []
+    for fork in (True, False):
+        with monkeypatch.context() as m:
+            if stdin is not None:
+                m.setattr(sys, "stdin", type("Stdin", (), {"buffer": io.BytesIO(stdin)}))
+            if not fork:
+                m.delattr(os, "fork")
+            forked = len(forks)
+            outcomes.append(_outcome(args, capsys, out))
+            assert (len(forks) > forked) == fork
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+_SPLIT_CASES = {
+    # the first line after the cut goes back behind the last one before it
+    "backwards-after-cut": (
+        _line(100, "Task schedule: old 0 new 1") + _line(200, "IRQ begin: 3"),
+        _line(150, "Task schedule: old 1 new 2") + _line(300, "IRQ end: 3"),
+    ),
+    "bad-line-each-half": (_line(100) + "junk\n" + _line(200), _line(300) + "more junk\n" + _line(400)),
+    "first-half-no-events": ("\n \t\n", _line(100) + _line(200)),
+    "first-half-only-junk": ("junk\n\n", _line(100) + _line(200)),
+    "crlf-at-cut": (_line(100) + _line(200)[:-1] + "\r\n", _line(300)[:-1] + "\r\n" + _line(400)),
+    "no-final-lf": (_line(100) + _line(200), _line(300) + _line(400)[:-1]),
+    # the first event after the cut ties the last before it, and goes on
+    # from the wrong task: a consistency violation, not a parse error
+    "tie-at-cut": (_line(100) + _line(200), _line(200, "Task schedule: old 1 new 0") + _line(400)),
+}
+
+
+@pytest.mark.parametrize("case", _SPLIT_CASES, ids=list(_SPLIT_CASES))
+def test_split_parse_gives_the_one_process_outcome(case, tmp_path, monkeypatch, capsys, split):
+    path = tmp_path / "trace.txt"
+    path.write_bytes(_halves(*_SPLIT_CASES[case]).encode())
+    out = tmp_path / "out"
+    codes = [
+        _same_outcome_as_one_process(args, capsys, monkeypatch, out, split)[0]
+        for args in _split_commands(str(path), out)
+    ]
+    assert codes == {
+        "backwards-after-cut": [1, 0, 1, 0],
+        "bad-line-each-half": [1, 0, 1, 0],
+        "first-half-no-events": [0, 0, 0, 0],
+        "first-half-only-junk": [1, 0, 1, 0],
+        "crlf-at-cut": [0, 0, 0, 0],
+        "no-final-lf": [0, 0, 0, 0],
+        "tie-at-cut": [2, 0, 2, 2],
+    }[case]
+
+
+def test_split_parse_numbers_lines_and_keeps_the_first_error(tmp_path, monkeypatch, capsys, split):
+    path = tmp_path / "trace.txt"
+    path.write_bytes(_halves(*_SPLIT_CASES["bad-line-each-half"]).encode())
+    out = tmp_path / "out"
+    strict, lenient, _, _ = _split_commands(str(path), out)
+    assert _same_outcome_as_one_process(strict, capsys, monkeypatch, out, split)[2] == (
+        "error: line 2: unrecognized line: 'junk'\n"
+    )
+    warnings = _same_outcome_as_one_process(lenient, capsys, monkeypatch, out, split)[2]
+    assert warnings == (
+        "warning: line 2: unknown_event: unrecognized line: 'junk'\n"
+        "warning: line 5: unknown_event: unrecognized line: 'more junk'\n"
+    )
+
+
+def test_split_parse_of_stdin(tmp_path, monkeypatch, capsys, split):
+    data = _halves(*_SPLIT_CASES["backwards-after-cut"]).encode()
+    out = tmp_path / "out"
+    for args in _split_commands("-", out, "json"):
+        _same_outcome_as_one_process(args, capsys, monkeypatch, out, split, stdin=data)
+
+
+def test_split_parse_stays_in_one_process_below_the_size_or_without_a_second_cpu(
+    trace_file, tmp_path, monkeypatch, capsys, forks
+):
+    assert run(["validate", trace_file]) == 0  # shorter than _SPLIT_CHARS
+    monkeypatch.setattr(cli, "_SPLIT_CHARS", 1)
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        one_cpu.setattr(os, "cpu_count", lambda: 1)
+        assert run(["validate", trace_file]) == 0
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        assert run(["validate", trace_file]) == 0
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    assert forks == []
+    assert run(["validate", trace_file]) == 0
+    assert len(forks) == 1
+    capsys.readouterr()
+
+
+def _edited(data: bytes, edits) -> bytes:
+    for at, insert, drop in edits:
+        at %= len(data) + 1
+        data = data[:at] + insert + data[at + drop:]
+    return data
+
+
+_VALID = gate_shaped_trace(6).encode()  # 30 events, tasks 1 to 6 and IRQs 31 and 32
+_INSERTS = [b"", b"\n", b"\r", b" ", b"\xff", b"9", b"<", b"IRQ end: 9\n"]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    # (where, bytes inserted there, bytes dropped after them)
+    edits=st.lists(
+        st.tuples(st.integers(0, len(_VALID)), st.sampled_from(_INSERTS), st.integers(0, 3)),
+        min_size=1,
+        max_size=6,
+    ),
+    fmt=st.sampled_from(["text", "csv", "json"]),
+)
+def test_split_cli_gives_the_one_process_outcome_under_byte_edits(tmp_path, monkeypatch, capsys, split, edits, fmt):
+    path = tmp_path / "trace.txt"
+    path.write_bytes(_edited(_VALID, edits))
+    out = tmp_path / "out"
+    for args in _split_commands(str(path), out, fmt):
+        code, _, err, _ = _same_outcome_as_one_process(args, capsys, monkeypatch, out, split)
+        assert code in (0, 1, 2, 3) and "Traceback" not in err
 
 
 def test_analyze_inconsistent_trace_exit_codes(tmp_path, capsys):

@@ -27,7 +27,8 @@ from schedtrace import (
     utilization,
     write_report,
 )
-from schedtrace.reports import MAX_SLOTS
+from schedtrace.model import EntityKind
+from schedtrace.reports import MAX_SLOTS, write_timeline_part
 from tests.conftest import (
     SHORT_END,
     SHORT_NETS,
@@ -611,3 +612,37 @@ def test_write_report_never_holds_a_whole_json_timeline():
         tracemalloc.stop()
     assert sink.size > 10_000_000
     assert peak < sink.size / 10
+
+
+def test_reports_read_the_entities_the_slice_set_built_once(monkeypatch):
+    s = build_slices(parse_trace(gate_shaped_trace(20) + unique_id_trace(3).replace("<0000h", "<0001h")))
+    entities = s.entities()
+    assert s.entities() is entities and len(entities) == len(s.runs) == 11
+
+    def refuse(cls, *fields):
+        raise AssertionError("built an Entity")
+
+    monkeypatch.setattr(Entity, "__new__", refuse)
+    reports = [average_load(s), utilization(s, 10**8), task_statistics(s), timeline(s)]
+    assert [row.entity for row in reports[2].rows] == entities
+    for kind in EntityKind:
+        assert [t.entity for t in timeline(s, kind=kind).entities] == [e for e in entities if e.kind is kind]
+
+
+_NO_IRQ = "".join(
+    f"<0000h 00m 00s 000 {10 * i:03d}> Task schedule: old {i % 3} new {(i + 1) % 3}\n" for i in range(9)
+)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize(
+    "trace", [SHORT_TRACE, gate_shaped_trace(30), unique_id_trace(40), _NO_IRQ],
+    ids=["short", "gate-shaped", "unique-ids", "no-irq"],
+)
+def test_timeline_parts_written_in_turn_are_the_whole_report(trace, fmt):
+    s = build_slices(parse_trace(trace))
+    for view in (None, Window(s.window.start + 3, s.window.end - 4)):
+        stream = io.StringIO()
+        for kind in (EntityKind.TASK, EntityKind.IRQ):
+            write_timeline_part(s, view, kind, fmt, stream)
+        assert stream.getvalue() == render(timeline(s, view), fmt)

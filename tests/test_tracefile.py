@@ -25,6 +25,7 @@ from schedtrace import (
     render_event,
     render_trace,
 )
+from schedtrace.tracefile import parse_halves
 from tests.conftest import SHORT_TRACE, unique_id_trace
 from tests.oracles import parse_by_line
 
@@ -292,11 +293,21 @@ def _columns(source, strict):
     return log.events, log.diagnostics
 
 
+def _halves(source, strict):
+    # both halves in this process, the second one first, as a forked child may
+    text = source.decode("utf-8-sig", "surrogateescape") if isinstance(source, bytes) else source
+    log = parse_halves(text, strict, lambda first, second: tuple(reversed((second(), first()))))
+    return log.events, log.diagnostics
+
+
 def _same_as_oracle(source):
-    """The lenient outcome, after checking both modes against parse_by_line."""
+    """The lenient outcome, after checking both modes against parse_by_line,
+    whole and, for text and bytes, in two halves."""
     for strict in (True, False):
         want = _outcome(parse_by_line, source, strict)
         assert _outcome(_columns, source, strict) == want
+        if isinstance(source, (str, bytes)):
+            assert _outcome(_halves, source, strict) == want
     return want
 
 
