@@ -87,7 +87,6 @@ from .synthgen import (
 from .tracefile import (
     DiagnosticKind,
     ParseDiagnostic,
-    parse_line,
     parse_trace,
     parse_trace_file,
     render_event,

@@ -22,15 +22,15 @@ from .reports import (
     TEXT,
     average_load,
     clip_view,
-    render_stats_histograms_csv,
     task_statistics,
     timeline,
     utilization,
     write_report,
+    write_stats_histograms_csv,
     write_timeline_part,
 )
 from .stats import MAX_BINS
-from .synthgen import Scenario, generate_trace, manifest_csv, parse_script
+from .synthgen import ID_LIMIT, Scenario, generate_trace, manifest_csv, parse_script
 from .tracefile import parse_halves, parse_trace, read_text
 
 EXIT_OK = 0
@@ -332,7 +332,8 @@ def _cmd_analyze(ns) -> int:
                 with _open(directory, f"{name}.{_EXTENSIONS[ns.format]}") as handle:
                     write_report(report, ns.format, handle)
                 if name == "stats" and ns.format == CSV:
-                    _write(directory, "stats_histograms.csv", render_stats_histograms_csv(report))
+                    with _open(directory, "stats_histograms.csv") as handle:
+                        write_stats_histograms_csv(report, handle)
             else:  # stdout takes one trace only
                 sys.stdout.write("" if name == reports[0] else "\n")  # a blank line parts documents
                 write_report(report, ns.format, sys.stdout)
@@ -354,9 +355,12 @@ def _cmd_analyze(ns) -> int:
 
 
 def _cmd_generate(ns) -> int:
-    scenario = parse_script(read_text(ns.script))
-    if ns.start_us:
-        scenario = Scenario(ns.start_us, scenario.runs)
+    if ns.start_us < 0:
+        raise _UsageError("--start-us must not be negative")
+    for option, task in (("--prior-task", ns.prior_task), ("--final-task", ns.final_task)):
+        if not 0 <= task < ID_LIMIT:
+            raise _UsageError(f"{option} must lie in [0, 10**18)")
+    scenario = Scenario(ns.start_us, parse_script(read_text(ns.script)).runs)
     trace_text, manifest = generate_trace(
         scenario, prior_task=ns.prior_task, final_task=ns.final_task
     )

@@ -245,8 +245,8 @@ class SliceSet:
     ExecutionSlice when it is read.  Dispatch and invocation runs carry the
     sample boundaries of the statistics reports: `runs` maps the code of each
     entity that ran, in code order, to an array('q') of (start, end, net_us)
-    triples.  `task_runs`, `irq_runs` and `runs_by_entity()` build on each
-    access a read-only sequence of Run over each, whose `columns` are those
+    triples.  `task_runs` and `irq_runs` build on each access, by numeric
+    id, a read-only sequence of Run over each, whose `columns` are those
     three.
     """
 
@@ -268,10 +268,6 @@ class SliceSet:
     @property
     def irq_runs(self) -> dict[int, ColumnView]:
         return {code - IRQ_CODE: _run_view(t) for code, t in self.runs.items() if code >= IRQ_CODE}
-
-    def runs_by_entity(self) -> dict[Entity, ColumnView]:
-        """Runs of every entity that was scheduled or invoked, tasks first, ids ascending."""
-        return {entity_of(code): _run_view(t) for code, t in self.runs.items()}
 
     def net_times(self) -> dict[Entity, int]:
         """Net charged time per entity; sums exactly to the window duration."""

@@ -117,22 +117,15 @@ class TimelineSegment(NamedTuple):
     end_us: int
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class EntityTimeline:
     """An entity's segments, which tile a span: their states and the
     len(states) + 1 bounds between them, and `segments` builds each one when
-    it is read.  The constructor takes a list of segments; ValueError unless
-    each ends after it starts and the next starts where it ends."""
+    it is read."""
 
     entity: Entity
     states: list[str]
     bounds: array
-
-    def __init__(self, entity: Entity, segments: list[TimelineSegment]):
-        states, starts, ends = [list(column) for column in zip(*segments)] or ([], [], [])
-        if starts[1:] != ends[:-1] or not all(map(lt, starts, ends)):
-            raise ValueError("timeline segments must tile their span")
-        vars(self).update(entity=entity, states=states, bounds=array("q", starts[:1] + ends))
 
     @property
     def segments(self) -> ColumnView:
@@ -332,9 +325,7 @@ def timeline(s: SliceSet, view=None, kind: EntityKind | None = None) -> Timeline
         if bounds[-1] < clipped.end:
             states.append(INACTIVE)
             bounds.append(clipped.end)
-        track = EntityTimeline.__new__(EntityTimeline)  # it tiles: taken without a check
-        vars(track).update(entity=entity, states=states, bounds=bounds)
-        entities.append(track)
+        entities.append(EntityTimeline(entity, states, bounds))
     return TimelineReport(s.window, clipped, entities)
 
 
@@ -517,19 +508,27 @@ def _stats_csv(report: StatsReport) -> Iterator[str]:
         )
 
 
-def render_stats_histograms_csv(report: StatsReport) -> str:
-    """The histogram companion table to the stats csv, one row per bin."""
-    lines = ["entity,kind,series,bin_lower,bin_upper,count"]
+def _histograms_csv(report: StatsReport) -> Iterator[str]:
+    yield "entity,kind,series,bin_lower,bin_upper,count"
     for row in report.rows:
         for name, series in (("exec", row.execution), ("period", row.period)):
             if series is None:
                 continue
             for lo, hi, count in _bins(series.histogram):
-                lines.append(
+                yield (
                     f"{row.entity.id},{row.entity.kind_name},{name},"
                     f"{_num(lo)},{_num(hi)},{count}"
                 )
-    return "".join(_chunks(lines))
+
+
+def render_stats_histograms_csv(report: StatsReport) -> str:
+    """The histogram companion table to the stats csv, one row per bin."""
+    return "".join(_chunks(_histograms_csv(report)))
+
+
+def write_stats_histograms_csv(report: StatsReport, stream) -> None:
+    """Write `render_stats_histograms_csv(report)` to a text stream in pieces."""
+    stream.writelines(_chunks(_histograms_csv(report)))
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +589,14 @@ def _timeline_csv(report: TimelineReport, head=True) -> Iterator[str]:
 
 def _entity(kind: str, entity_id: int) -> Entity:
     return Entity(EntityKind.TASK if kind == "task" else EntityKind.IRQ, entity_id)
+
+
+def _entity_timeline(entity: Entity, segments: list[TimelineSegment]) -> EntityTimeline:
+    """The EntityTimeline of json segments; ValueError unless they tile."""
+    states, starts, ends = [list(column) for column in zip(*segments)] or ([], [], [])
+    if starts[1:] != ends[:-1] or not all(map(lt, starts, ends)):
+        raise ValueError("timeline segments must tile their span")
+    return EntityTimeline(entity, states, array("q", starts[:1] + ends))
 
 
 # The json schema.  Each value type maps to the function that rebuilds it
@@ -665,7 +672,7 @@ _JSON_TABLE = {
     ),
     TimelineSegment: (TimelineSegment, ("state", "start_us", "end_us")),
     EntityTimeline: (
-        EntityTimeline,
+        _entity_timeline,
         ((None, "entity", Entity), ("segments", "segments", [TimelineSegment])),
     ),
     TimelineReport: (

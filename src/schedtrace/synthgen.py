@@ -49,20 +49,18 @@ class Manifest:
     period_samples: dict[int, list[int]]
 
 
-class _IrqNode:
-    __slots__ = ("spec", "children")
-
-    def __init__(self, spec: IrqSpec):
-        self.spec = spec
-        self.children: list[_IrqNode] = []
+ID_LIMIT = 10**18  # task and IRQ ids in the trace format have at most 18 digits
 
 
-def _irq_forest(run: ScenarioRun, line: int | None = None) -> list[_IrqNode]:
-    """Arrange a run's interrupts into a containment forest, validating them.
+def _nest(run: ScenarioRun, line: int | None = None) -> tuple[list[tuple], int]:
+    """Check a run's interrupts and lay them out in trace order.
 
     Any two interrupts must be disjoint or nested (LIFO order); interrupts
     must fit inside the run.  Specs with identical spans nest in listing
-    order.
+    order; ScriptError at `line` otherwise.  Returns the (offset_us, irq,
+    net_us) of each begin and end in the order the trace holds them, net_us
+    None at a begin and at an end the handler's length minus its direct
+    children's, and the time of the run's top-level interrupts.
     """
     for spec in run.irqs:
         if spec.length_us < 1:
@@ -77,25 +75,44 @@ def _irq_forest(run: ScenarioRun, line: int | None = None) -> list[_IrqNode]:
                 f" {run.gross_us} us run",
                 line,
             )
-    ordered = sorted(run.irqs, key=lambda s: (s.offset_us, -s.length_us))
-    roots: list[_IrqNode] = []
-    stack: list[_IrqNode] = []
-    for spec in ordered:
-        node = _IrqNode(spec)
-        while stack and spec.offset_us >= stack[-1].spec.end_us:
-            stack.pop()
-        if stack:
-            parent = stack[-1].spec
-            if spec.end_us > parent.end_us:
-                raise ScriptError(
-                    f"irq {spec.irq} overlaps irq {parent.irq} without nesting inside it",
-                    line,
-                )
-            stack[-1].children.append(node)
-        else:
-            roots.append(node)
-        stack.append(node)
-    return roots
+    walk: list[tuple] = []
+    stack: list[list] = [[None, 0]]  # [spec, its direct children's time]: the run, then each open one
+    for spec in sorted(run.irqs, key=lambda s: (s.offset_us, -s.length_us)) + [None]:
+        # an open handler ends before the next interrupt that starts at or after
+        # its end; the None after the last interrupt ends them all
+        while len(stack) > 1 and (spec is None or spec.offset_us >= stack[-1][0].end_us):
+            done, inner = stack.pop()
+            walk.append((done.end_us, done.irq, done.length_us - inner))
+            stack[-1][1] += done.length_us
+        if spec is None:
+            return walk, stack[0][1]
+        parent = stack[-1][0]
+        if parent is not None and spec.end_us > parent.end_us:
+            raise ScriptError(
+                f"irq {spec.irq} overlaps irq {parent.irq} without nesting inside it",
+                line,
+            )
+        walk.append((spec.offset_us, spec.irq, None))
+        stack.append([spec, 0])
+
+
+def _check_run(task: int, gross: int, specs: list[IrqSpec], lines: list[int]) -> ScenarioRun:
+    """The run, once its interrupts pass _nest; else the ScriptError of the
+    first irq line at which its interrupts so far fail."""
+
+    def fails(k: int) -> bool:  # whether the first k interrupts fail
+        try:
+            _nest(ScenarioRun(task, gross, tuple(specs[:k])))
+        except ScriptError:
+            return True
+        return False
+
+    if fails(len(specs)):
+        from bisect import bisect_left  # here, so that only a failing script loads it
+
+        k = bisect_left(range(len(specs)), True, key=fails)  # a failing prefix fails when extended
+        _nest(ScenarioRun(task, gross, tuple(specs[:k])), lines[k - 1])
+    return ScenarioRun(task, gross, tuple(specs))
 
 
 def parse_script(text: str) -> Scenario:
@@ -103,58 +120,51 @@ def parse_script(text: str) -> Scenario:
 
     One `run <task> <gross_us>` line per task run, each optionally followed
     by `irq <id> <offset_us> <length_us>` lines for interrupts inside that
-    run.  `#` starts a comment; blank lines are ignored.
+    run.  `#` starts a comment; blank lines are ignored.  Ids lie in
+    [0, 10**18).
     """
-    runs: list[ScenarioRun] = []
-    cur: tuple[int, int, int] | None = None  # task, gross, line
-    cur_irqs: list[IrqSpec] = []
-
-    def flush():
-        if cur is None:
-            return
-        run = ScenarioRun(cur[0], cur[1], tuple(cur_irqs))
-        _irq_forest(run, line=cur[2])
-        runs.append(run)
-
+    runs: list[tuple] = []  # task, gross, the specs and the line of each spec of every run
     for lineno, raw in enumerate(text.split("\n"), 1):  # only LF ends a line, as in traces
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "run":
-            if len(parts) != 3:
-                raise ScriptError("expected: run <task> <gross_us>", lineno)
-            try:
-                task, gross = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ScriptError("run fields must be integers", lineno) from None
-            if task < 0:
-                raise ScriptError("task id must be non-negative", lineno)
-            if gross < 1:
-                raise ScriptError("a run must advance time", lineno)
-            flush()
-            cur = (task, gross, lineno)
-            cur_irqs = []
-        elif parts[0] == "irq":
-            if cur is None:
-                raise ScriptError("irq line before any run", lineno)
-            if len(parts) != 4:
-                raise ScriptError("expected: irq <id> <offset_us> <length_us>", lineno)
-            try:
-                irq, offset, length = (int(p) for p in parts[1:])
-            except ValueError:
-                raise ScriptError("irq fields must be integers", lineno) from None
-            if irq < 0:
-                raise ScriptError("irq id must be non-negative", lineno)
-            spec = IrqSpec(irq, offset, length)
-            cur_irqs.append(spec)
-            _irq_forest(ScenarioRun(cur[0], cur[1], tuple(cur_irqs)), line=lineno)
-        else:
-            raise ScriptError(f"unknown directive {parts[0]!r}", lineno)
-    flush()
+        try:
+            if parts[0] == "run":
+                if len(parts) != 3:
+                    raise ScriptError("expected: run <task> <gross_us>", lineno)
+                try:
+                    task, gross = int(parts[1]), int(parts[2])
+                except ValueError:
+                    raise ScriptError("run fields must be integers", lineno) from None
+                if not 0 <= task < ID_LIMIT:
+                    raise ScriptError("task id must lie in [0, 10**18)", lineno)
+                if gross < 1:
+                    raise ScriptError("a run must advance time", lineno)
+                runs.append((task, gross, [], []))
+            elif parts[0] == "irq":
+                if not runs:
+                    raise ScriptError("irq line before any run", lineno)
+                if len(parts) != 4:
+                    raise ScriptError("expected: irq <id> <offset_us> <length_us>", lineno)
+                try:
+                    irq, offset, length = (int(p) for p in parts[1:])
+                except ValueError:
+                    raise ScriptError("irq fields must be integers", lineno) from None
+                if not 0 <= irq < ID_LIMIT:
+                    raise ScriptError("irq id must lie in [0, 10**18)", lineno)
+                specs, lines = runs[-1][2:]
+                specs.append(IrqSpec(irq, offset, length))
+                lines.append(lineno)
+            else:
+                raise ScriptError(f"unknown directive {parts[0]!r}", lineno)
+        except ScriptError:
+            for run in runs:  # the error of an earlier irq line comes first
+                _check_run(*run)
+            raise
     if not runs:
         raise ScriptError("script defines no runs")
-    return Scenario(0, tuple(runs))
+    return Scenario(0, tuple(_check_run(*run) for run in runs))
 
 
 def render_script(scenario: Scenario) -> str:
@@ -184,14 +194,7 @@ def generate_trace(
     dispatch: dict[Entity, list[int]] = {}
     schedule_ins: dict[int, list[int]] = {}
 
-    def emit_irq(node: _IrqNode, base: int):
-        spec = node.spec
-        events.append(IrqBegin(base + spec.offset_us, spec.irq))
-        for child in node.children:
-            emit_irq(child, base)
-        events.append(IrqEnd(base + spec.end_us, spec.irq))
-        entity = Entity.irq(spec.irq)
-        net = spec.length_us - sum(c.spec.length_us for c in node.children)
+    def charge(entity: Entity, net: int):
         net_us[entity] = net_us.get(entity, 0) + net
         dispatch.setdefault(entity, []).append(net)
 
@@ -200,15 +203,16 @@ def generate_trace(
     for run in scenario.runs:
         if run.gross_us < 1:
             raise ScriptError("a run must advance time")
-        roots = _irq_forest(run)
+        walk, interrupted = _nest(run)
         events.append(TaskSchedule(t, prev, run.task))
         schedule_ins.setdefault(run.task, []).append(t)
-        for root in roots:
-            emit_irq(root, t)
-        entity = Entity.task(run.task)
-        net = run.gross_us - sum(r.spec.length_us for r in roots)
-        net_us[entity] = net_us.get(entity, 0) + net
-        dispatch.setdefault(entity, []).append(net)
+        for offset, irq, net in walk:
+            if net is None:
+                events.append(IrqBegin(t + offset, irq))
+            else:
+                events.append(IrqEnd(t + offset, irq))
+                charge(Entity.irq(irq), net)
+        charge(Entity.task(run.task), run.gross_us - interrupted)
         t += run.gross_us
         prev = run.task
     events.append(TaskSchedule(t, prev, final_task))

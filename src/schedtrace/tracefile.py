@@ -107,21 +107,6 @@ def _diagnose(text: str) -> tuple[DiagnosticKind, str]:
     return DiagnosticKind.UNKNOWN_EVENT, f"unknown event type: {rest[:60]!r}"
 
 
-def parse_line(text: str) -> TraceEvent:
-    """Parse one trace line (without its newline) into an event.
-
-    Raises ParseError carrying a DiagnosticKind when the line is not a valid
-    event.
-    """
-    text = text.strip(" \t\r\n")
-    if not text or "\n" in text:  # parse_trace would skip it, or see two lines
-        raise ParseError(*_diagnose(text))
-    try:
-        return parse_trace(text).events[0]
-    except ParseError as exc:
-        raise ParseError(exc.kind, exc.message) from None
-
-
 def _decode(data: bytes) -> str:
     # an undecodable byte becomes a lone surrogate, which no event (and no
     # scenario directive) matches, so its line is diagnosed like any other

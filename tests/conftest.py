@@ -71,3 +71,14 @@ def unique_id_trace(n: int) -> str:
     return "".join(
         f"<{format_timestamp(i * 7)}> Task schedule: old {i} new {i + 1}\n" for i in range(n)
     )
+
+
+def script_run(task, gross, irqs) -> list[str]:
+    """The script lines of a run and its (irq, offset, length) interrupts,
+    each offset and length wrapped into the run: the interrupts fit inside
+    it, though they may overlap."""
+    lines = [f"run {task} {gross}"]
+    for irq, offset, length in irqs:
+        offset %= gross
+        lines.append(f"  irq {irq} {offset} {1 + length % (gross - offset)}")
+    return lines

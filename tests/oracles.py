@@ -14,8 +14,12 @@ from schedtrace import (
     Entity,
     IrqBegin,
     IrqEnd,
+    IrqSpec,
     ParseDiagnostic,
     ParseError,
+    Scenario,
+    ScenarioRun,
+    ScriptError,
     TaskSchedule,
     TimestampRangeError,
     timestamp_from_fields,
@@ -143,3 +147,71 @@ def ks_statistic_per_sample(samples, cdf) -> float:
         if above > worst:
             worst = above
     return worst
+
+
+def _check_irqs(gross, specs, line):
+    """Raise ScriptError at `line` unless the interrupts fit a run of
+    `gross` us and any two are disjoint or nested."""
+    for spec in specs:
+        if spec.length_us < 1:
+            raise ScriptError(f"irq {spec.irq} has zero length; interrupts must take time", line)
+        if spec.offset_us < 0:
+            raise ScriptError(f"irq {spec.irq} has a negative offset", line)
+        if spec.end_us > gross:
+            raise ScriptError(
+                f"irq {spec.irq} ends at offset {spec.end_us} us, outside its {gross} us run", line
+            )
+    stack = []
+    for spec in sorted(specs, key=lambda s: (s.offset_us, -s.length_us)):
+        while stack and spec.offset_us >= stack[-1].end_us:
+            stack.pop()
+        if stack and spec.end_us > stack[-1].end_us:
+            raise ScriptError(
+                f"irq {spec.irq} overlaps irq {stack[-1].irq} without nesting inside it", line
+            )
+        stack.append(spec)
+
+
+def parse_script_by_line(text):
+    """The reference for parse_script: every irq line checks all of its
+    run's interrupts so far, so the first line at which they stop being
+    valid raises, before any later line is read."""
+    runs, cur, specs = [], None, []
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "run":
+            if len(parts) != 3:
+                raise ScriptError("expected: run <task> <gross_us>", lineno)
+            try:
+                task, gross = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ScriptError("run fields must be integers", lineno) from None
+            if not 0 <= task < 10**18:
+                raise ScriptError("task id must lie in [0, 10**18)", lineno)
+            if gross < 1:
+                raise ScriptError("a run must advance time", lineno)
+            if cur is not None:
+                runs.append(ScenarioRun(*cur, tuple(specs)))
+            cur, specs = (task, gross), []
+        elif parts[0] == "irq":
+            if cur is None:
+                raise ScriptError("irq line before any run", lineno)
+            if len(parts) != 4:
+                raise ScriptError("expected: irq <id> <offset_us> <length_us>", lineno)
+            try:
+                irq, offset, length = (int(p) for p in parts[1:])
+            except ValueError:
+                raise ScriptError("irq fields must be integers", lineno) from None
+            if not 0 <= irq < 10**18:
+                raise ScriptError("irq id must lie in [0, 10**18)", lineno)
+            specs.append(IrqSpec(irq, offset, length))
+            _check_irqs(cur[1], specs, lineno)
+        else:
+            raise ScriptError(f"unknown directive {parts[0]!r}", lineno)
+    if cur is None:
+        raise ScriptError("script defines no runs")
+    runs.append(ScenarioRun(*cur, tuple(specs)))
+    return Scenario(0, tuple(runs))

@@ -26,7 +26,6 @@ from schedtrace import (
     fit_exponential,
     fit_uniform,
     generate_trace,
-    parse_line,
     parse_trace,
     random_scenario,
     render,
@@ -228,7 +227,7 @@ def test_parser_round_trip_random_events():
         else:
             ev = IrqEnd(at, rng.randrange(10_000))
         line = render_event(ev)
-        assert render_event(parse_line(line)) == line
+        assert render_event(parse_trace(line).events[0]) == line
     _ok("render/parse round trip on 10000 events")
 
 

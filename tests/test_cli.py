@@ -22,14 +22,15 @@ from schedtrace import (
     build_slices,
     parse_trace,
     render,
+    render_stats_histograms_csv,
     task_statistics,
     timeline,
     utilization,
 )
 from schedtrace import cli
 from schedtrace.cli import run
-from schedtrace.model import EntityKind
-from tests.conftest import SHORT_TRACE, gate_shaped_trace
+from schedtrace.model import MAX_TIMESTAMP_US, EntityKind
+from tests.conftest import SHORT_TRACE, gate_shaped_trace, script_run, unique_id_trace
 
 
 @pytest.fixture()
@@ -95,6 +96,42 @@ def test_analyze_csv_stats_adds_histogram_file(trace_file, tmp_path):
     out_dir = tmp_path / "out"
     run(["analyze", trace_file, "--report", "stats", "--format", "csv", "-o", str(out_dir)])
     assert sorted(p.name for p in out_dir.iterdir()) == ["stats.csv", "stats_histograms.csv"]
+
+
+def test_analyze_writes_the_histogram_file_in_pieces(tmp_path, monkeypatch):
+    trace = tmp_path / "unique.txt"
+    trace.write_text(unique_id_trace(6_000))  # one histogram row per task
+    writes = []  # the length of each write to stats_histograms.csv
+    real_open = open
+
+    class Recording:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.handle.close()
+
+        def write(self, text):
+            writes.append(len(text))
+            return self.handle.write(text)
+
+        def writelines(self, pieces):
+            for piece in pieces:
+                self.write(piece)
+
+    def recording_open(path, *args, **kwargs):
+        handle = real_open(path, *args, **kwargs)
+        return Recording(handle) if path.endswith("stats_histograms.csv") else handle
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    out = tmp_path / "out"
+    assert run(["analyze", str(trace), "--report", "stats", "--format", "csv", "-o", str(out)]) == 0
+    text = (out / "stats_histograms.csv").read_text()
+    assert text == render_stats_histograms_csv(task_statistics(build_slices(parse_trace(trace.read_text()))))
+    assert sum(writes) == len(text) and max(writes) < len(text) / 2
 
 
 def test_analyze_json_extension(trace_file, tmp_path):
@@ -393,7 +430,7 @@ def test_analyze_builds_no_slice_or_segment_tuples(trace_file, monkeypatch, caps
 
     for cls in (ExecutionSlice, TimelineSegment, Run):
         monkeypatch.setattr(cls, "__new__", refuse)
-    for name in ("task_runs", "irq_runs", "runs_by_entity"):
+    for name in ("task_runs", "irq_runs"):
         monkeypatch.setattr(SliceSet, name, property(refuse_views))
     reports = ["--report", "load", "--report", "utilization", "--report", "stats", "--report", "timeline"]
     assert run(["analyze", trace_file, *reports, "--format", fmt, *zoom]) == 0
@@ -830,6 +867,90 @@ def test_generate_non_utf8_script_names_the_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: line 2: unknown directive")
     assert "Traceback" not in err
+
+
+def test_generate_ids_span_the_18_digits_a_trace_holds(tmp_path, capsys):
+    top = 10**18 - 1
+    script = tmp_path / "s.txt"
+    script.write_text(f"run {top} 10\n  irq {top} 2 3\n")
+    out = tmp_path / "gen"
+    options = ["--prior-task", str(top), "--final-task", str(top)]
+    assert run(["generate", str(script), "-o", str(out), *options]) == 0
+    assert run(["validate", str(out / "trace.txt")]) == 0
+    assert capsys.readouterr().out == "no consistency violations\n"
+    for line in (f"run {top + 1} 10\n", "run -1 10\n", f"run 1 10\n  irq {top + 1} 2 3\n", "run 1 10\n  irq -1 2 3\n"):
+        script.write_text(line)
+        assert run(["generate", str(script)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line.count(chr(10))}: ") and "id must lie in [0, 10**18)" in err
+    script.write_text("run 1 10\n")
+    for option, value in [("--prior-task", top + 1), ("--prior-task", -1), ("--final-task", top + 1),
+                          ("--final-task", -3), ("--start-us", -5)]:
+        assert run(["generate", str(script), option, str(value)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {option} must")
+
+
+def test_generate_nests_interrupts_without_a_depth_limit(tmp_path, capsys):
+    depth = 5_000
+    irqs = "".join(f"  irq {i % 5} {i} {2 * (depth - i) + 1}\n" for i in range(depth))
+    script = tmp_path / "s.txt"
+    script.write_text(f"run 1 {2 * depth + 1}\n{irqs}")
+    out = tmp_path / "gen"
+    assert run(["generate", str(script), "-o", str(out)]) == 0
+    assert run(["validate", str(out / "trace.txt")]) == 0
+    assert capsys.readouterr().out == "no consistency violations\n"
+
+
+def _nested_run(depth: int) -> list[str]:
+    return [f"run 1 {2 * depth + 1}"] + [f"  irq {i % 3} {i} {2 * (depth - i) + 1}" for i in range(depth)]
+
+
+_IDS = [*range(10), 10**18 - 1]
+_SCRIPT_BLOCK = st.one_of(
+    st.builds(
+        script_run,
+        st.sampled_from(_IDS),
+        st.integers(1, 40),
+        st.lists(st.tuples(st.sampled_from(_IDS), st.integers(0, 39), st.integers(0, 39)), max_size=3),
+    ),
+    st.integers(0, 1_500).map(_nested_run),
+)
+_BAD_LINES = [
+    "# comment", "", "run 1 x", "irq 2", "wait 3", "run 2 0", "irq 1 -1 2", "irq 1 0 0",
+    "run -1 5", f"run {10**18} 5", "irq -1 0 1", f"irq {10**18} 0 1",
+]
+_OPTION_ID = st.sampled_from([*_IDS, -1, 10**18])
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    blocks=st.lists(_SCRIPT_BLOCK, min_size=1, max_size=5),
+    bad=st.one_of(st.none(), st.tuples(st.integers(0, 30), st.sampled_from(_BAD_LINES))),
+    start=st.sampled_from([0, 1, 999_999, 1_000_000, 123_456_789, -1, MAX_TIMESTAMP_US - 20]),
+    prior=_OPTION_ID,
+    final=_OPTION_ID,
+)
+def test_generate_on_drawn_scripts_exits_cleanly(tmp_path, capsys, blocks, bad, start, prior, final):
+    lines = [line for block in blocks for line in block]
+    if bad is not None:
+        lines.insert(bad[0], bad[1])
+    script = tmp_path / "s.txt"
+    script.write_text("\n".join(lines))
+    out = tmp_path / "gen"
+    shutil.rmtree(out, ignore_errors=True)
+    options = ["--start-us", str(start), "--prior-task", str(prior), "--final-task", str(final)]
+    code = run(["generate", str(script), "-o", str(out), *options])
+    assert code in (0, 1, 3) and "Traceback" not in capsys.readouterr().err
+    if code != 0:
+        return
+    trace = out / "trace.txt"
+    assert run(["validate", str(trace)]) == 0
+    assert capsys.readouterr().out == "no consistency violations\n"
+    rows = [row.split(",") for row in (out / "manifest.csv").read_text().splitlines()[1:-1]]
+    nets = build_slices(parse_trace(trace.read_text())).net_times()
+    assert {(int(i), kind): int(net) for i, kind, net in rows} == {
+        (entity.id, entity.kind_name): net for entity, net in nets.items()
+    }
 
 
 def test_validate_clean_trace(trace_file, capsys):

@@ -24,7 +24,7 @@ from schedtrace import (
     random_scenario,
     validate_consistency,
 )
-from schedtrace.model import IRQ_BEGIN, IRQ_END, SCHEDULE
+from schedtrace.model import IRQ_BEGIN, IRQ_END, SCHEDULE, entity_of
 from tests.conftest import (
     SHORT_END,
     SHORT_NETS,
@@ -159,7 +159,7 @@ def test_runs_view_builds_each_run_on_access(monkeypatch):
     runs = s.task_runs[9]
     expected = [Run(0, 25, 20), Run(25, 60, 35)]
     assert len(runs) == 2
-    assert runs == expected and expected == runs and runs == s.runs_by_entity()[Entity.task(9)]
+    assert runs == expected and expected == runs and s.runs[9].tolist() == [0, 25, 20, 25, 60, 35]
     assert runs != expected[:1] and runs != tuple(expected)
     assert runs[0] == expected[0] and type(runs[-1]) is Run and runs[-1].net_us == 35
     assert runs[1:] == expected[1:] and runs[::-1] == expected[::-1]
@@ -221,13 +221,9 @@ def test_runs_by_entity_lists_tasks_first_ids_ascending():
         "<0000h 00m 00s 000 020> Task schedule: old 5 new 3\n"
         "<0000h 00m 00s 000 030> Task schedule: old 3 new 0\n"
     ))
-    runs = s.runs_by_entity()
+    runs = {entity_of(code): triples.tolist() for code, triples in s.runs.items()}
     assert list(runs) == [Entity.task(3), Entity.task(5), Entity.irq(2)] == s.entities()
-    assert runs == {
-        Entity.task(3): [Run(20, 30, 10)],
-        Entity.task(5): [Run(0, 20, 15)],
-        Entity.irq(2): [Run(10, 15, 5)],
-    }
+    assert runs == {Entity.task(3): [20, 30, 10], Entity.task(5): [0, 20, 15], Entity.irq(2): [10, 15, 5]}
     # an id that never ran has no list, and asking for one does not make it
     for by_id in (s.task_runs, s.irq_runs, s.schedule_ins):
         with pytest.raises(KeyError):

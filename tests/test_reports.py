@@ -3,6 +3,7 @@
 import io
 import json
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -288,11 +289,16 @@ def test_segments_view_builds_each_segment_on_access(short_slices, monkeypatch, 
 
 def test_entity_timeline_keeps_segments_that_tile():
     segments = [TimelineSegment("inactive", 0, 10), TimelineSegment("active", 10, 12)]
-    ent = EntityTimeline(Entity.irq(3), segments)
+    ent = EntityTimeline(Entity.irq(3), ["inactive", "active"], array("q", [0, 10, 12]))
     assert ent.segments == segments
-    assert ent == EntityTimeline(Entity.irq(3), list(ent.segments))
-    assert ent != EntityTimeline(Entity.irq(3), segments[:1])
-    assert EntityTimeline(Entity.irq(3), []).segments == []
+    assert ent == EntityTimeline(Entity.irq(3), list(ent.states), array("q", ent.bounds))
+    assert ent != EntityTimeline(Entity.irq(3), ["inactive"], array("q", [0, 10]))
+    # json segments that tile come back as the same states and bounds
+    rep = TimelineReport(Window(0, 12), Window(0, 12), [ent])
+    data = json.loads(render(rep, "json"))
+    assert report_from_json(data) == rep
+    data["entities"][0]["segments"] = []
+    assert report_from_json(data).entities[0] == EntityTimeline(Entity.irq(3), [], array("q"))
 
 
 @pytest.mark.parametrize(
@@ -307,8 +313,13 @@ def test_entity_timeline_keeps_segments_that_tile():
     ids=["gap", "overlap", "empty", "backwards", "unordered"],
 )
 def test_entity_timeline_refuses_segments_that_do_not_tile(segments):
+    window = Window(0, 20)
+    ent = EntityTimeline(Entity.task(1), ["running"], array("q", [0, 20]))
+    data = json.loads(render(TimelineReport(window, window, [ent]), "json"))
+    keys = ("state", "start_us", "end_us")
+    data["entities"][0]["segments"] = [dict(zip(keys, segment)) for segment in segments]
     with pytest.raises(ValueError, match="tile"):
-        EntityTimeline(Entity.task(1), [TimelineSegment(*s) for s in segments])
+        report_from_json(data)
 
 
 def test_timeline_adds_a_few_words_per_segment():
@@ -598,11 +609,10 @@ class _Sink(io.TextIOBase):
 
 def test_write_report_never_holds_a_whole_json_timeline():
     n = 100_000
-    segments = [
-        TimelineSegment(("running", "inactive")[i % 2], 10 * i, 10 * i + 10) for i in range(n)
-    ]
+    states = [("running", "inactive")[i % 2] for i in range(n)]
     window = Window(0, 10 * n)
-    rep = TimelineReport(window, window, [EntityTimeline(Entity.task(1), segments)])
+    track = EntityTimeline(Entity.task(1), states, array("q", range(0, 10 * n + 1, 10)))
+    rep = TimelineReport(window, window, [track])
     sink = _Sink()
     tracemalloc.start()
     try:

@@ -1,8 +1,11 @@
 """Scenario scripts, trace generation, and the analytic manifest."""
 
+import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schedtrace import (
     Entity,
@@ -18,6 +21,8 @@ from schedtrace import (
     random_scenario,
     render_script,
 )
+from tests.conftest import script_run
+from tests.oracles import parse_script_by_line
 
 SCRIPT = """\
 # two tasks, one handler nested in the second run
@@ -65,6 +70,54 @@ def test_parse_script_rejects(script, fragment):
     with pytest.raises(ScriptError) as exc:
         parse_script(script)
     assert fragment in str(exc.value)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ScriptError as exc:
+        return exc.message, exc.line
+
+
+_RUN_LINES = st.builds(
+    script_run,
+    st.sampled_from([1, 2, 10**18 - 1]),
+    st.integers(1, 10),
+    st.lists(st.tuples(st.sampled_from([3, 4, 10**18 - 1]), st.integers(0, 9), st.integers(0, 9)), max_size=6),
+)
+_BAD_LINES = [
+    "# a comment", "", "run 1", "run 1 0", "run -1 3", f"run {10**18} 3", "walk 1 2",
+    "irq x 1 2", "irq 1 2", "irq -1 1 1", f"irq {10**18} 1 1", "irq 5 0 0", "irq 5 -1 2", "irq 5 2 99",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_RUN_LINES, max_size=4),
+    st.lists(st.tuples(st.integers(0, 30), st.sampled_from(_BAD_LINES)), max_size=2),
+)
+def test_parse_script_gives_the_per_line_checks_outcome(runs, bad):
+    lines = [line for run in runs for line in run]
+    for at, line in bad:
+        lines.insert(at, line)
+    text = "\n".join(lines)
+    assert _outcome(parse_script, text) == _outcome(parse_script_by_line, text)
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["disjoint", "nested"])
+def test_parse_script_checks_a_long_run_once(nested):
+    n = 20_000
+    irqs = [f"irq {i % 7} {i} {2 * (n - i)}" if nested else f"irq 1 {2 * i} 1" for i in range(n)]
+    text = f"run 1 {2 * n}\n" + "\n".join(irqs) + "\n"
+    t0 = time.perf_counter()
+    scenario = parse_script(text)
+    elapsed = time.perf_counter() - t0
+    assert len(scenario.runs[0].irqs) == n
+    assert elapsed < 1.0, f"{n} interrupts parsed in {elapsed:.2f} s"
+    # the first bad line is named however long the run
+    with pytest.raises(ScriptError) as exc:
+        parse_script(text + f"irq 5 {2 * n - 1} 2\nirq 1 0 0\n")
+    assert exc.value.line == n + 2 and "irq 5 ends at offset" in exc.value.message
 
 
 @pytest.mark.parametrize("char", ["\x0c", "\x1c", "\x85", "\u2028"])
@@ -118,6 +171,14 @@ def test_identical_irq_spans_nest_in_listing_order():
     assert manifest.net_us[Entity.irq(5)] == 0
     assert manifest.net_us[Entity.irq(6)] == 4
     assert manifest.net_us[Entity.task(1)] == 6
+
+
+def test_irqs_sharing_a_start_nest_the_longest_outermost():
+    sc = parse_script("run 1 10\n  irq 5 2 2\n  irq 6 2 6\n")
+    text, manifest = generate_trace(sc)
+    payloads = [l.split("> ")[1] for l in text.splitlines()]
+    assert payloads[1:5] == ["IRQ begin: 6", "IRQ begin: 5", "IRQ end: 5", "IRQ end: 6"]
+    assert manifest.dispatch_samples == {Entity.irq(5): [2], Entity.irq(6): [4], Entity.task(1): [4]}
 
 
 def test_manifest_counts_dispatches_and_periods():

@@ -18,7 +18,6 @@ from schedtrace import (
     TraceError,
     format_timestamp,
     generate_trace,
-    parse_line,
     parse_trace,
     parse_trace_file,
     random_scenario,
@@ -31,24 +30,24 @@ from tests.oracles import parse_by_line
 
 
 def test_parse_line_each_event_kind():
-    ev = parse_line("<0000h 00m 01s 290 602> Task schedule: old 5 new 3")
+    ev = parse_trace("<0000h 00m 01s 290 602> Task schedule: old 5 new 3").events[0]
     assert ev == TaskSchedule(1_290_602, 5, 3)
-    ev = parse_line("<0000h 00m 01s 290 838> IRQ begin: 16")
+    ev = parse_trace("<0000h 00m 01s 290 838> IRQ begin: 16").events[0]
     assert ev == IrqBegin(1_290_838, 16)
-    ev = parse_line("<0000h 00m 01s 290 861> IRQ end: 16")
+    ev = parse_trace("<0000h 00m 01s 290 861> IRQ end: 16").events[0]
     assert ev == IrqEnd(1_290_861, 16)
 
 
 def test_parse_line_tolerates_loose_spacing_and_digit_width():
     # readers must accept any digit count and runs of spaces/tabs
-    ev = parse_line("<0h  0m\t1s  290   602>\tTask  schedule:  old  5  new  3")
+    ev = parse_trace("<0h  0m\t1s  290   602>\tTask  schedule:  old  5  new  3").events[0]
     assert ev == TaskSchedule(1_290_602, 5, 3)
-    ev = parse_line("<00000h 00m 01s 290 602> IRQ begin: 007")
+    ev = parse_trace("<00000h 00m 01s 290 602> IRQ begin: 007").events[0]
     assert ev == IrqBegin(1_290_602, 7)
 
 
 def test_parse_line_strips_trailing_whitespace():
-    assert parse_line("<0000h 00m 00s 000 005> IRQ end: 2 \t\r\n") == IrqEnd(5, 2)
+    assert parse_trace("<0000h 00m 00s 000 005> IRQ end: 2 \t\r\n").events[0] == IrqEnd(5, 2)
 
 
 @pytest.mark.parametrize(
@@ -70,18 +69,19 @@ def test_parse_line_strips_trailing_whitespace():
 )
 def test_parse_line_diagnoses_bad_lines(text, kind):
     with pytest.raises(ParseError) as exc:
-        parse_line(text)
+        parse_trace(text)
     assert exc.value.kind == kind
 
 
 def test_numbers_have_at_most_18_digits():
     # 18 digits is the documented bound, leading zeros included
-    assert parse_line("<0000h 00m 00s 000 005> IRQ begin: " + "7".zfill(18)) == IrqBegin(5, 7)
+    line = "<0000h 00m 00s 000 005> IRQ begin: "
+    assert parse_trace(line + "7".zfill(18)).events[0] == IrqBegin(5, 7)
     with pytest.raises(ParseError) as exc:
-        parse_line("<0000h 00m 00s 000 005> IRQ begin: " + "7".zfill(19))
+        parse_trace(line + "7".zfill(19))
     assert exc.value.kind == DiagnosticKind.MALFORMED_PAYLOAD
     with pytest.raises(ParseError) as exc:
-        parse_line("<" + "0" * 19 + "h 00m 00s 000 005> IRQ begin: 7")
+        parse_trace("<" + "0" * 19 + "h 00m 00s 000 005> IRQ begin: 7")
     assert exc.value.kind == DiagnosticKind.MALFORMED_TIMESTAMP
 
 
@@ -89,7 +89,7 @@ def test_out_of_range_field_gets_the_same_message_from_both_readers():
     line = "<0000h 00m 00s 000 1000> IRQ begin: 1"
     message = "timestamp field out of range: '0000h 00m 00s 000 1000'"
     with pytest.raises(ParseError) as exc:
-        parse_line(line)
+        parse_trace(line)
     assert exc.value.message == message
     assert parse_trace(line + "\n" + SHORT_TRACE, strict=False).diagnostics[0] == (
         1, DiagnosticKind.MALFORMED_TIMESTAMP, message
@@ -270,7 +270,7 @@ _event = st.one_of(
 
 @given(_event)
 def test_render_parse_round_trip_property(ev):
-    assert parse_line(render_event(ev)) == ev
+    assert parse_trace(render_event(ev)).events[0] == ev
 
 
 def _typed(events):
