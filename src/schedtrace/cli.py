@@ -318,7 +318,6 @@ def _cmd_analyze(ns) -> int:
         del log  # the reports can reuse the event log's memory
         zoom = _zoom(reports, sliceset, ns)
         directory = os.path.join(ns.output_dir, _stem(path)) if multi else ns.output_dir
-        sliceset.entities()  # built once, before any fork, for every report
         timeline_name = f"timeline.{_EXTENSIONS[ns.format]}"
 
         def emit(name, part=None):  # one report or timeline part, released when written

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import TYPE_CHECKING, NamedTuple, Union
 
@@ -203,8 +202,7 @@ def tiling(row, labels, bounds: array) -> ColumnView:
     return ColumnView(row, labels, edges[:-1], edges[1:])
 
 
-@dataclass(frozen=True)
-class EventLog:
+class EventLog(NamedTuple):
     """Parsed trace: events in file order with non-decreasing timestamps.
 
     Event i is at[i], kind[i] (SCHEDULE, IRQ_BEGIN or IRQ_END), a[i] (the
@@ -216,7 +214,7 @@ class EventLog:
     kind: array
     a: array
     b: array
-    diagnostics: list["ParseDiagnostic"] = field(default_factory=list)
+    diagnostics: Sequence["ParseDiagnostic"] = ()
 
     @property
     def events(self) -> ColumnView:
@@ -235,8 +233,7 @@ def _run_view(triples: array) -> ColumnView:
     return ColumnView(Run, triples[0::3], triples[1::3], triples[2::3])
 
 
-@dataclass(frozen=True)
-class SliceSet:
+class SliceSet(NamedTuple):
     """Complete attribution of an analysis window to execution entities.
 
     Slices are pairwise disjoint, time ordered, and tile
@@ -245,9 +242,10 @@ class SliceSet:
     ExecutionSlice when it is read.  Dispatch and invocation runs carry the
     sample boundaries of the statistics reports: `runs` maps the code of each
     entity that ran, in code order, to an array('q') of (start, end, net_us)
-    triples.  `task_runs` and `irq_runs` build on each access, by numeric
-    id, a read-only sequence of Run over each, whose `columns` are those
-    three.
+    triples, and `entities` lists the Entity of each of those codes in the
+    same order, for the reports to share.  `task_runs` and `irq_runs` build
+    on each access, by numeric id, a read-only sequence of Run over each,
+    whose `columns` are those three.
     """
 
     window: Window
@@ -255,7 +253,8 @@ class SliceSet:
     bounds: array
     runs: dict[int, array]
     schedule_ins: dict[int, list[int]]
-    diagnostics: list["ConsistencyViolation"] = field(default_factory=list)
+    entities: list[Entity]
+    diagnostics: Sequence["ConsistencyViolation"] = ()
 
     @property
     def slices(self) -> ColumnView:
@@ -272,12 +271,3 @@ class SliceSet:
     def net_times(self) -> dict[Entity, int]:
         """Net charged time per entity; sums exactly to the window duration."""
         return {entity_of(code): sum(t[2::3]) for code, t in self.runs.items()}
-
-    def entities(self) -> list[Entity]:
-        """Every entity that was scheduled or invoked, tasks first, ids ascending:
-        the Entity of each code of `runs`, built on the first call and then
-        shared by every call, so do not change it."""
-        built = self.__dict__.get("_entities")
-        if built is None:  # a frozen dataclass: its __dict__ takes the cache
-            built = self.__dict__["_entities"] = list(map(entity_of, self.runs))
-        return built

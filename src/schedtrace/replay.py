@@ -23,6 +23,7 @@ from .model import (
     SCHEDULE,
     EventLog,
     SliceSet,
+    entity_of,
 )
 
 class ViolationKind(Enum):
@@ -168,9 +169,9 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
     bounds.append(cursor)  # the window end
 
     # handed back as plain dicts, so a missing id raises KeyError
-    return SliceSet(
-        window, owners, bounds, dict(sorted(runs.items())), dict(schedule_ins), violations
-    )
+    ordered = dict(sorted(runs.items()))
+    entities = list(map(entity_of, ordered))
+    return SliceSet(window, owners, bounds, ordered, dict(schedule_ins), entities, violations)
 
 
 def validate_consistency(log: EventLog) -> list[ConsistencyViolation]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import chain, islice
 from math import isfinite
 from operator import attrgetter, itemgetter, lt
@@ -53,38 +52,33 @@ MAX_SLOTS = 100_000  # a utilization report holds one slot value per slot
 # report values
 
 
-@dataclass(frozen=True)
-class LoadRow:
+class LoadRow(NamedTuple):
     entity: Entity
     net_us: int
     utilization: float
 
 
-@dataclass(frozen=True)
-class LoadReport:
+class LoadReport(NamedTuple):
     window: Window
     rows: list[LoadRow]
     idle_fraction: float
 
 
-@dataclass(frozen=True)
-class UtilizationSlot:
+class UtilizationSlot(NamedTuple):
     start_us: int
     span_us: int
     partial: bool
     fractions: list[tuple[Entity, float]]
 
 
-@dataclass(frozen=True)
-class UtilizationReport:
+class UtilizationReport(NamedTuple):
     window: Window
     view: Window
     slot_width_us: int
     slots: list[UtilizationSlot]
 
 
-@dataclass(frozen=True)
-class SeriesStats:
+class SeriesStats(NamedTuple):
     """Summary, histogram and fits for one sample series (executions or periods)."""
 
     summary: SampleSummary
@@ -94,8 +88,7 @@ class SeriesStats:
     notes: list[str]
 
 
-@dataclass(frozen=True)
-class EntityStats:
+class EntityStats(NamedTuple):
     entity: Entity
     net_us: int
     share: float
@@ -104,8 +97,7 @@ class EntityStats:
     period: SeriesStats | None
 
 
-@dataclass(frozen=True)
-class StatsReport:
+class StatsReport(NamedTuple):
     window: Window
     bins: int
     rows: list[EntityStats]
@@ -117,8 +109,7 @@ class TimelineSegment(NamedTuple):
     end_us: int
 
 
-@dataclass(frozen=True)
-class EntityTimeline:
+class EntityTimeline(NamedTuple):
     """An entity's segments, which tile a span: their states and the
     len(states) + 1 bounds between them, and `segments` builds each one when
     it is read."""
@@ -132,8 +123,7 @@ class EntityTimeline:
         return tiling(TimelineSegment, self.states, self.bounds)
 
 
-@dataclass(frozen=True)
-class TimelineReport:
+class TimelineReport(NamedTuple):
     window: Window
     view: Window
     entities: list[EntityTimeline]
@@ -164,7 +154,7 @@ def average_load(s: SliceSet) -> LoadReport:
     """Net time and fraction of the window per entity; idle is task 0's share."""
     duration = clip_view(None, s.window).duration_us
     nets = {code: sum(runs[2::3]) for code, runs in s.runs.items()}
-    rows = [LoadRow(e, net, net / duration) for e, net in zip(s.entities(), nets.values()) if net > 0]
+    rows = [LoadRow(e, net, net / duration) for e, net in zip(s.entities, nets.values()) if net > 0]
     return LoadReport(s.window, rows, nets.get(IDLE.id, 0) / duration)
 
 
@@ -186,7 +176,7 @@ def utilization(
     if -(-clipped.duration_us // width) > MAX_SLOTS:
         raise ValueError(f"slot width {width} us makes more than {MAX_SLOTS} slots")
     slots: list[UtilizationSlot] = []
-    entity = dict(zip(s.runs, s.entities()))
+    entity = dict(zip(s.runs, s.entities))
     owners, bounds = memoryview(s.owners), memoryview(s.bounds)
     # Slices tile the window in time order.  Each slot sums the slices that
     # meet it, less what the first and the last of them hold outside it.
@@ -229,7 +219,7 @@ def task_statistics(s: SliceSet, bins: int = 20) -> StatsReport:
     """
     duration = clip_view(None, s.window).duration_us
     rows = []
-    for (code, runs), entity in zip(s.runs.items(), s.entities()):
+    for (code, runs), entity in zip(s.runs.items(), s.entities):
         execution = _series(runs[2::3].tolist(), bins)
         net = execution.summary.total
         ins = s.schedule_ins.get(code, ())  # an IRQ's code is no task's id
@@ -318,7 +308,7 @@ def timeline(s: SliceSet, view=None, kind: EntityKind | None = None) -> Timeline
     clipped = clip_view(view, s.window)
     task_tracks = {} if kind is EntityKind.IRQ else _task_tracks(s, clipped)
     entities = []
-    for (code, runs), entity in zip(s.runs.items(), s.entities()):
+    for (code, runs), entity in zip(s.runs.items(), s.entities):
         if kind is not None and entity.kind is not kind:
             continue
         states, bounds = task_tracks[code] if code < IRQ_CODE else _irq_track(runs, clipped)
@@ -724,7 +714,7 @@ def _plain(x, pad="") -> str:
 def _json_value(value, cls, many, pad, head, tail) -> Iterator[str]:
     """Lines of a value that opens after `head` at indent `pad` and closes with `tail`."""
     if cls is None or not value:  # a plain value, a missing one or an empty list
-        return iter((f"{head}{_plain(value, pad)}{tail}",))
+        return iter((f"{head}{'[]' if many else _plain(value, pad)}{tail}",))
     inner = pad + "  "
     if not many:
         members = chain.from_iterable(_json_members(value, cls, inner, ""))
@@ -867,11 +857,11 @@ def write_timeline_part(s: SliceSet, view, kind: EntityKind, fmt: str, stream) -
     part = timeline(s, view, kind)
     head = kind is EntityKind.TASK
     if fmt == TEXT:
-        lines = _timeline_text(part, max(len(e.label) for e in s.entities()), head)
+        lines = _timeline_text(part, max(len(e.label) for e in s.entities), head)
     elif fmt == CSV:
         lines = _timeline_csv(part, head)
     elif fmt == JSON:  # the task part's last entity takes a comma if an IRQ follows
-        lines = _timeline_json(part, head, head and s.entities()[-1].kind is EntityKind.IRQ)
+        lines = _timeline_json(part, head, head and s.entities[-1].kind is EntityKind.IRQ)
     else:
         raise ValueError(f"cannot render TimelineReport as {fmt!r}")
     stream.writelines(_chunks(lines))

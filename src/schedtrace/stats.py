@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import floordiv, mul, sub, truediv
 from typing import Callable, NamedTuple, Sequence
@@ -15,8 +14,7 @@ from .errors import EmptySampleError, SampleDomainError
 MAX_BINS = 10_000  # a histogram holds a list of this length per sample series
 
 
-@dataclass(frozen=True)
-class SampleSummary:
+class SampleSummary(NamedTuple):
     count: int
     total: float
     minimum: float
@@ -24,23 +22,20 @@ class SampleSummary:
     mean: float
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(NamedTuple):
     """Equal-width bins spanning [min, max]; edges has len(counts) + 1 entries."""
 
     edges: list[float]
     counts: list[int]
 
 
-@dataclass(frozen=True)
-class ExponentialFit:
+class ExponentialFit(NamedTuple):
     rate_per_us: float
     log_likelihood: float
     ks: float
 
 
-@dataclass(frozen=True)
-class UniformFit:
+class UniformFit(NamedTuple):
     lower: float
     upper: float
     ks: float

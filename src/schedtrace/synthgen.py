@@ -9,7 +9,6 @@ oracle that never went through the replay code.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ScriptError
@@ -33,14 +32,12 @@ class ScenarioRun(NamedTuple):
     irqs: tuple[IrqSpec, ...] = ()
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     start_us: int
     runs: tuple[ScenarioRun, ...]
 
 
-@dataclass(frozen=True)
-class Manifest:
+class Manifest(NamedTuple):
     """Analytically computed ground truth for a generated trace."""
 
     window_us: int
@@ -56,13 +53,16 @@ def _nest(run: ScenarioRun, line: int | None = None) -> tuple[list[tuple], int]:
     """Check a run's interrupts and lay them out in trace order.
 
     Any two interrupts must be disjoint or nested (LIFO order); interrupts
-    must fit inside the run.  Specs with identical spans nest in listing
-    order; ScriptError at `line` otherwise.  Returns the (offset_us, irq,
-    net_us) of each begin and end in the order the trace holds them, net_us
-    None at a begin and at an end the handler's length minus its direct
-    children's, and the time of the run's top-level interrupts.
+    must fit inside the run, and their ids lie in [0, 10**18).  Specs with
+    identical spans nest in listing order; ScriptError at `line` otherwise.
+    Returns the (offset_us, irq, net_us) of each begin and end in the order
+    the trace holds them, net_us None at a begin and at an end the handler's
+    length minus its direct children's, and the time of the run's top-level
+    interrupts.
     """
     for spec in run.irqs:
+        if not 0 <= spec.irq < ID_LIMIT:
+            raise ScriptError("irq id must lie in [0, 10**18)", line)
         if spec.length_us < 1:
             raise ScriptError(
                 f"irq {spec.irq} has zero length; interrupts must take time", line
@@ -187,8 +187,12 @@ def generate_trace(
     terminal switch to `final_task` closes the last run.  Expected net times
     come straight from the scenario arithmetic: a run's net is its gross
     minus its top-level interrupt lengths, and a handler's net is its length
-    minus its direct children's lengths.
+    minus its direct children's lengths.  Ids lie in [0, 10**18): ScriptError
+    for a scenario's, ValueError for `prior_task` and `final_task`.
     """
+    for name, task in (("prior_task", prior_task), ("final_task", final_task)):
+        if not 0 <= task < ID_LIMIT:
+            raise ValueError(f"{name} must lie in [0, 10**18)")
     events: list[TraceEvent] = []
     net_us: dict[Entity, int] = {}
     dispatch: dict[Entity, list[int]] = {}
@@ -203,6 +207,8 @@ def generate_trace(
     for run in scenario.runs:
         if run.gross_us < 1:
             raise ScriptError("a run must advance time")
+        if not 0 <= run.task < ID_LIMIT:
+            raise ScriptError("task id must lie in [0, 10**18)")
         walk, interrupted = _nest(run)
         events.append(TaskSchedule(t, prev, run.task))
         schedule_ins.setdefault(run.task, []).append(t)

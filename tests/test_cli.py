@@ -3,6 +3,7 @@
 import io
 import os
 import shutil
+import subprocess
 import sys
 import threading
 
@@ -999,3 +1000,15 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "analyze" in capsys.readouterr().out
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every run of the tool pays for its imports, and dataclasses brings
+    # inspect, ast, dis and tokenize with it
+    code = "import sys, schedtrace.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": "src"}
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"

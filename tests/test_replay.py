@@ -222,7 +222,7 @@ def test_runs_by_entity_lists_tasks_first_ids_ascending():
         "<0000h 00m 00s 000 030> Task schedule: old 3 new 0\n"
     ))
     runs = {entity_of(code): triples.tolist() for code, triples in s.runs.items()}
-    assert list(runs) == [Entity.task(3), Entity.task(5), Entity.irq(2)] == s.entities()
+    assert list(runs) == [Entity.task(3), Entity.task(5), Entity.irq(2)] == s.entities
     assert runs == {Entity.task(3): [20, 30, 10], Entity.task(5): [0, 20, 15], Entity.irq(2): [10, 15, 5]}
     # an id that never ran has no list, and asking for one does not make it
     for by_id in (s.task_runs, s.irq_runs, s.schedule_ins):

@@ -28,7 +28,7 @@ from schedtrace import (
     utilization,
     write_report,
 )
-from schedtrace.model import EntityKind
+from schedtrace.model import EntityKind, entity_of
 from schedtrace.reports import MAX_SLOTS, write_timeline_part
 from tests.conftest import (
     SHORT_END,
@@ -301,6 +301,19 @@ def test_entity_timeline_keeps_segments_that_tile():
     assert report_from_json(data).entities[0] == EntityTimeline(Entity.irq(3), [], array("q"))
 
 
+def test_a_timeline_entity_with_no_segments_renders_in_every_format(short_slices):
+    full = timeline(short_slices)
+    data = json.loads(render(full, "json"))
+    data["entities"][1]["segments"] = []
+    rep = report_from_json(data)
+    assert rep.entities[1].segments == [] and rep.entities[1].states == []
+    assert json.loads(render(rep, "json")) == data
+    assert report_from_json(render(rep, "json")) == rep
+    dropped = len(full.entities[1].segments)
+    for fmt in ("text", "csv"):
+        assert render(rep, fmt).count("\n") == render(full, fmt).count("\n") - dropped
+
+
 @pytest.mark.parametrize(
     "segments",
     [
@@ -346,7 +359,21 @@ def test_timeline_of_ids_that_never_repeat_adds_a_few_words_per_segment():
         tracemalloc.stop()
     n = sum(len(e.segments) for e in rep.entities)
     assert n > 290_000
-    assert peak <= 245 * n, f"{peak / n:.0f} B per segment"
+    assert peak <= 150 * n, f"{peak / n:.0f} B per segment"
+
+
+def test_stats_of_ids_that_never_repeat_take_under_a_kilobyte_per_entity():
+    # each entity's row holds its two series' summary, histogram and fits
+    s = build_slices(parse_trace(unique_id_trace(100_000)))
+    tracemalloc.start()
+    try:
+        task_statistics(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = len(s.runs)
+    assert n > 99_000
+    assert peak <= 950 * n, f"{peak / n:.0f} B per entity"
 
 
 def test_timeline_merges_segments_across_self_switch():
@@ -626,8 +653,8 @@ def test_write_report_never_holds_a_whole_json_timeline():
 
 def test_reports_read_the_entities_the_slice_set_built_once(monkeypatch):
     s = build_slices(parse_trace(gate_shaped_trace(20) + unique_id_trace(3).replace("<0000h", "<0001h")))
-    entities = s.entities()
-    assert s.entities() is entities and len(entities) == len(s.runs) == 11
+    entities = s.entities
+    assert entities == list(map(entity_of, s.runs)) and len(entities) == len(s.runs) == 11
 
     def refuse(cls, *fields):
         raise AssertionError("built an Entity")

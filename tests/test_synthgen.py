@@ -141,6 +141,31 @@ def test_generate_trace_boundary_events():
     assert "<0000h 00m 00s 000 200>" in lines[-1]
 
 
+def test_generate_trace_takes_ids_in_the_trace_format_range_only():
+    top = 10**18 - 1
+    text, manifest = generate_trace(
+        Scenario(0, (ScenarioRun(top, 5, (IrqSpec(top, 1, 2),)),)), prior_task=top, final_task=top
+    )
+    assert [l.split("> ")[1] for l in text.splitlines()] == [
+        f"Task schedule: old {top} new {top}",
+        f"IRQ begin: {top}",
+        f"IRQ end: {top}",
+        f"Task schedule: old {top} new {top}",
+    ]
+    assert build_slices(parse_trace(text)).net_times() == manifest.net_us
+    for bad in (-1, 10**18):
+        for scenario, name in (
+            (Scenario(0, (ScenarioRun(bad, 5),)), "task"),
+            (Scenario(0, (ScenarioRun(1, 5, (IrqSpec(bad, 1, 2),)),)), "irq"),
+        ):
+            with pytest.raises(ScriptError) as exc:
+                generate_trace(scenario)
+            assert str(exc.value) == f"{name} id must lie in [0, 10**18)" and exc.value.line is None
+        for name in ("prior_task", "final_task"):
+            with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 10\*\*18\)$"):
+                generate_trace(Scenario(0, (ScenarioRun(1, 5),)), **{name: bad})
+
+
 def test_generate_trace_nested_irq_events_and_nets():
     sc = parse_script(SCRIPT)
     text, manifest = generate_trace(sc)
