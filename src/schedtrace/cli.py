@@ -10,10 +10,11 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 from .errors import ConsistencyError, TraceError
 from .model import EntityKind, Window
-from .replay import build_slices, validate_consistency
+from .replay import build_slices, replay_halves, validate_consistency
 from .reports import (
     CSV,
     FORMATS,
@@ -31,7 +32,7 @@ from .reports import (
 )
 from .stats import MAX_BINS
 from .synthgen import ID_LIMIT, Scenario, generate_trace, manifest_csv, parse_script
-from .tracefile import parse_halves, parse_trace, read_text
+from .tracefile import parse_trace, read_text
 
 EXIT_OK = 0
 EXIT_TRACE_ERROR = 1
@@ -39,8 +40,9 @@ EXIT_CONSISTENCY = 2
 EXIT_USAGE = 3
 
 _EXTENSIONS = {"text": "txt", "csv": "csv", "json": "json"}
-# A trace of this many characters or more is parsed in two halves at once
-# where two processes may run (see _may_fork): about 26,000 gate-shaped lines.
+# A trace of this many characters or more is parsed and replayed in two
+# halves at once where two processes may run (see _may_fork): about 26,000
+# gate-shaped lines.
 _SPLIT_CHARS = 1 << 20
 # What the forked child of a split analyze writes: stats and the timeline's
 # task part.  The parent writes the rest, load, utilization and the
@@ -191,57 +193,89 @@ def _may_fork() -> bool:
     return threading.active_count() == 1 and cpus > 1
 
 
-def _fork(first, second):
-    """(first(), second()), with `second` called meanwhile in a forked child.
+@contextmanager
+def _fork(prepare, finish):
+    """A forked child that calls finish(prepare(), message) on the one
+    message the parent sends; the value is the parent's end of it.
 
-    The child sends what `second` returned or raised through a pipe and ends
-    with os._exit, so it never returns into the caller; one that cannot send
-    it exits 1.  The parent calls `first`, raises its error if it raises one,
-    else the child's, and reaps the child on every path.
+    The parent calls send(message) once, then result(), which returns what
+    finish returned or raises what the child raised; a child that cannot
+    send its outcome exits 1.  The child ends with os._exit, so it never
+    returns into the caller.  The parent reaps it on every path, closing the
+    pipes first, so a child still waiting for the message or writing its
+    outcome ends.
     """
     import pickle
 
     for stream in filter(None, (sys.stdout, sys.stderr)):  # None if started closed
         stream.flush()  # or the child would hold a copy of what they buffer
-    read_end, write_end = os.pipe()
+    down_read, down_write = os.pipe()
+    up_read, up_write = os.pipe()
     pid = os.fork()
     if pid == 0:
-        os.close(read_end)
+        os.close(down_write)
+        os.close(up_read)
         status = 1
         try:
             try:
-                outcome = (second(), None)
+                prepared = prepare()
+                with open(down_read, "rb") as pipe:
+                    message = pickle.loads(pipe.read())  # bytes written by the parent below
+                outcome = (finish(prepared, message), None)
             except BaseException as exc:  # handed to the parent, which raises it
                 outcome = (None, exc)
             message = pickle.dumps(outcome)
-            with open(write_end, "wb") as pipe:
+            with open(up_write, "wb") as pipe:
                 pipe.write(message)
             status = 0
         finally:
             os._exit(status)
-    os.close(write_end)
+    os.close(down_read)
+    os.close(up_write)
+    down, up = open(down_write, "wb"), open(up_read, "rb")
+    reaped = []
+
+    def send(message):
+        try:
+            with down:
+                down.write(pickle.dumps(message))
+        except BrokenPipeError:  # the child has exited: result() says how
+            pass
+
+    def result():
+        down.close()  # a child still waiting for a message reads EOFError
+        with up:  # read as it is unpickled, so the parent never holds the whole message
+            try:
+                outcome = pickle.load(up)  # bytes the child wrote whole, or not at all
+            except EOFError:
+                outcome = None
+        reaped.append(os.waitpid(pid, 0)[1])
+        if outcome is None:
+            code = os.waitstatus_to_exitcode(reaped[0])
+            raise ChildProcessError(f"the second process exited with {code} and sent nothing")
+        value, error = outcome
+        if error is not None:
+            raise error
+        return value
+
     try:
-        with open(read_end, "rb") as pipe:
-            value = first()
-            message = pipe.read()
-    finally:  # the pipe is closed first, so a child still writing to it ends
-        _, status = os.waitpid(pid, 0)
-    if not message:
-        code = os.waitstatus_to_exitcode(status)
-        raise ChildProcessError(f"the second process exited with {code} and sent nothing")
-    result, error = pickle.loads(message)  # bytes written by the child above
-    if error is not None:
-        raise error
-    return value, result
+        yield SimpleNamespace(send=send, result=result)
+    finally:
+        down.close()
+        up.close()
+        if not reaped:
+            os.waitpid(pid, 0)
 
 
-def _parse(path: str, strict: bool):
-    """The EventLog of the trace at `path`; a long one is parsed in two
-    halves by two processes where _may_fork allows."""
-    text = read_text(path)
-    if len(text) < _SPLIT_CHARS or not _may_fork():
-        return parse_trace(text, strict)
-    return parse_halves(text, strict, _fork)
+def _load(path: str, strict: bool, slices: bool):
+    """The parse diagnostics of the trace at `path`, and its SliceSet if
+    `slices`, else its consistency violations.  A long trace is parsed and
+    replayed in two halves by two processes where _may_fork allows."""
+    text = [read_text(path)]  # the one reference, which the parse takes
+    if len(text[0]) >= _SPLIT_CHARS and _may_fork():
+        return replay_halves(text.pop, strict, slices, _fork)
+    log = parse_trace(text.pop(), strict)
+    return log.diagnostics, build_slices(log, strict) if slices else validate_consistency(log)
 
 
 def _emit_split(jobs, emit, timeline_path) -> None:
@@ -267,7 +301,10 @@ def _emit_split(jobs, emit, timeline_path) -> None:
     parent = [(i, job) for i, job in enumerate(jobs) if job not in _CHILD_JOBS]
     child_failure, complete = None, False
     try:
-        failures = _fork(lambda: run_jobs(parent), lambda: run_jobs(child))
+        # the child runs its jobs before it reads the message, which is None
+        with _fork(lambda: run_jobs(child), lambda failure, _: failure) as worker:
+            worker.send(None)
+            failures = run_jobs(parent), worker.result()
         child_failure = failures[1]
         failure = min(filter(None, failures), default=None, key=lambda f: f[0])
         if failure is not None:
@@ -312,10 +349,8 @@ def _cmd_analyze(ns) -> int:
             raise _UsageError(f"traces {stems[stem]} and {path} would both write {directory}")
         stems[stem] = path
     for path in ns.traces:
-        log = _parse(path, strict=not ns.lenient)
-        sliceset = build_slices(log, strict=not ns.lenient)
-        _warn(log.diagnostics, sliceset.diagnostics, path if multi else None)
-        del log  # the reports can reuse the event log's memory
+        diagnostics, sliceset = _load(path, not ns.lenient, slices=True)
+        _warn(diagnostics, sliceset.diagnostics, path if multi else None)
         zoom = _zoom(reports, sliceset, ns)
         directory = os.path.join(ns.output_dir, _stem(path)) if multi else ns.output_dir
         timeline_name = f"timeline.{_EXTENSIONS[ns.format]}"
@@ -372,9 +407,8 @@ def _cmd_generate(ns) -> int:
 
 
 def _cmd_validate(ns) -> int:
-    log = _parse(ns.trace, strict=not ns.lenient)
-    _warn(log.diagnostics)
-    violations = validate_consistency(log)
+    diagnostics, violations = _load(ns.trace, not ns.lenient, slices=False)
+    _warn(diagnostics)
     for violation in violations:
         print(f"at {violation.at} us: {violation.kind.value}: {violation.detail}")
     if violations:

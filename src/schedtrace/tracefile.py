@@ -130,14 +130,6 @@ class Span(NamedTuple):
     error: ParseError | None
 
 
-def _event_log(span: Span) -> EventLog:
-    if span.error is not None:
-        raise span.error
-    if not span.columns[0]:
-        raise EmptyTraceError("trace contains no events")
-    return EventLog(*span.columns, span.diagnostics)
-
-
 def parse_span(text: str, start: int, stop: int, strict: bool, last_at: int = 0, line: int = 0) -> Span:
     """Parse the lines of text[start:stop], which start and stop at line
     boundaries, after `line` lines whose last event was at `last_at` us."""
@@ -218,35 +210,12 @@ def parse_trace(source, strict: bool = True) -> EventLog:
         lf = b"\n" if isinstance(first, bytes) else "\n"
         source = lf.join([first.removesuffix(lf), *(line.removesuffix(lf) for line in lines)])
     text = _decode(source) if isinstance(source, bytes) else source
-    return _event_log(parse_span(text, 0, len(text), strict))
-
-
-def parse_halves(text: str, strict: bool, both) -> EventLog:
-    """parse_trace(text, strict), its two halves parsed at once by `both`.
-
-    The text is cut after the line break that follows its middle.
-    `both(first, second)` calls the two and returns what each returned; it
-    may call `second`, which parses the second half, in another process.
-    That parse cannot know the first half's last timestamp, so it is kept
-    only if it accepted no event or its first event is not earlier than that
-    timestamp, the one case in which it is what one parse would have found;
-    else the second half is parsed again here.  Events, diagnostics, line
-    numbers and the first strict error are those of parse_trace.
-    """
-    cut = text.find("\n", len(text) // 2) + 1 or len(text)
-
-    def second_half(last_at=0):
-        return parse_span(text, cut, len(text), strict, last_at, text.count("\n", 0, cut))
-
-    head, tail = both(lambda: parse_span(text, 0, cut, strict), second_half)
-    if head.error is None:
-        last_at = head.columns[0][-1] if head.columns[0] else 0
-        if tail.columns[0] and tail.columns[0][0] < last_at:
-            tail = second_half(last_at)
-        for column, more in zip(head.columns, tail.columns):
-            column.extend(more)
-        head = Span(head.columns, head.diagnostics + tail.diagnostics, tail.error)
-    return _event_log(head)
+    span = parse_span(text, 0, len(text), strict)
+    if span.error is not None:
+        raise span.error
+    if not span.columns[0]:
+        raise EmptyTraceError("trace contains no events")
+    return EventLog(*span.columns, span.diagnostics)
 
 
 def parse_trace_file(path: str, strict: bool = True) -> EventLog:

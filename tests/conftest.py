@@ -1,6 +1,10 @@
 """Shared fixtures: a small hand-checked trace and its derived facts."""
 
+from contextlib import contextmanager
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import strategies as st
 
 from schedtrace import (
     Entity,
@@ -82,3 +86,58 @@ def script_run(task, gross, irqs) -> list[str]:
         offset %= gross
         lines.append(f"  irq {irq} {offset} {1 + length % (gross - offset)}")
     return lines
+
+
+@st.composite
+def damaged_traces(draw, junk=False):
+    """Trace text of up to 40 drawn events of tasks and IRQs 0 to 3.  A switch
+    sometimes claims the wrong old task; an IRQ may begin inside itself; an
+    end sometimes names no open handler, or one that is not innermost, and
+    handlers may stay open at the end.  Timestamps often tie.  With `junk`,
+    a line may be junk or go back in time."""
+    at = draw(st.integers(0, 5_000))
+    task, handlers, lines = draw(st.integers(0, 3)), [], []
+    for _ in range(draw(st.integers(1, 40))):
+        at += draw(st.sampled_from((0, 0, 1, 2, 7, 120)))
+        kind = draw(st.sampled_from(("switch", "begin", "end", "end", "junk" if junk else "end")))
+        if kind == "switch":
+            old = task if draw(st.integers(0, 5)) else draw(st.integers(0, 3))
+            task = draw(st.integers(0, 3))
+            payload = f"Task schedule: old {old} new {task}"
+        elif kind == "begin":
+            handlers.append(draw(st.integers(0, 3)))
+            payload = f"IRQ begin: {handlers[-1]}"
+        elif kind == "end":
+            irq = handlers[-1] if handlers and draw(st.integers(0, 5)) else draw(st.integers(0, 3))
+            if handlers and handlers[-1] == irq:
+                handlers.pop()
+            payload = f"IRQ end: {irq}"
+        else:
+            back = f"<{format_timestamp(max(at - 3, 0))}> IRQ begin: 1\n"  # often behind the last event
+            lines.append(draw(st.sampled_from(("junk\n", back))))
+            continue
+        lines.append(f"<{format_timestamp(at)}> {payload}\n")
+    return "".join(lines)
+
+
+@contextmanager
+def in_process(prepare, finish):
+    """A `spawn` for replay.replay_halves that runs both halves in this
+    process: prepare at once, before the first half, as a forked child may;
+    finish when the message is sent, its error raised by result()."""
+    prepared = prepare()
+    outcome = []
+
+    def send(message):
+        try:
+            outcome.append((finish(prepared, message), None))
+        except Exception as exc:
+            outcome.append((None, exc))
+
+    def result():
+        value, error = outcome[0]
+        if error is not None:
+            raise error
+        return value
+
+    yield SimpleNamespace(send=send, result=result)

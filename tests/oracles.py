@@ -84,19 +84,24 @@ def parse_by_line(source, strict=True):
     return events, diagnostics
 
 
-def owner_by_microsecond(events):
-    """Yield (t, entity) for each microsecond t of [first, last).
+def _state_by_microsecond(events):
+    """Yield (t, task, innermost open handler or None) for each microsecond t
+    of [first, last).
 
-    The innermost context at t owns it: events taking effect at time t own
-    [t, t+1).  Assumes a consistent trace (balanced IRQ nesting, truthful
-    old-task fields).
+    Events taking effect at time t hold for [t, t+1).  The lenient repair
+    rules of build_slices hold: the task at the start is `old` of the first
+    switch (idle if none), a switch makes `new` current whatever its `old`,
+    an IRQ end that is not the innermost handler's is dropped, and handlers
+    still open at the end stay open to the end.  On a consistent trace
+    these are no repairs at all.
     """
     events = list(events)  # an EventLog's view would build a tuple per read
     if not events:
         return
     start = events[0].at
     end = events[-1].at
-    current = events[0].old if isinstance(events[0], TaskSchedule) else IDLE_TASK_ID
+    switches = [ev for ev in events if isinstance(ev, TaskSchedule)]
+    current = switches[0].old if switches else IDLE_TASK_ID
     stack: list[int] = []
     i = 0
     for t in range(start, end):
@@ -106,13 +111,32 @@ def owner_by_microsecond(events):
                 current = ev.new
             elif isinstance(ev, IrqBegin):
                 stack.append(ev.irq)
-            elif isinstance(ev, IrqEnd):
+            elif isinstance(ev, IrqEnd) and stack and stack[-1] == ev.irq:
                 stack.pop()
             i += 1
-        if stack:
-            yield t, Entity.irq(stack[-1])
-        else:
-            yield t, Entity.task(current)
+        yield t, current, stack[-1] if stack else None
+
+
+def owner_by_microsecond(events):
+    """Yield (t, entity) for each microsecond t of [first, last): the
+    innermost open handler owns it, else the current task."""
+    for t, task, irq in _state_by_microsecond(events):
+        yield t, Entity.task(task) if irq is None else Entity.irq(irq)
+
+
+def task_states_by_microsecond(events) -> dict[int, list[str]]:
+    """Each task that is current for some microsecond, mapped to its timeline
+    state at every microsecond of [first, last): running while current with
+    no handler open, preempted_by_irq while current beneath one, else
+    inactive."""
+    states = list(_state_by_microsecond(events))
+    return {
+        task: [
+            ("running" if irq is None else "preempted_by_irq") if current == task else "inactive"
+            for _, current, irq in states
+        ]
+        for task in {current for _, current, _ in states}
+    }
 
 
 def charge_by_microsecond(events) -> dict[Entity, int]:

@@ -475,6 +475,25 @@ def forks(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_fork_passes_one_message_each_way_and_reaps_a_child_that_sends_nothing(forks):
+    with cli._fork(lambda: 2, lambda prepared, message: prepared * message) as child:
+        child.send(21)
+        assert child.result() == 42
+    with cli._fork(lambda: None, lambda prepared, message: lambda: message) as child:
+        child.send(1)
+        with pytest.raises(ChildProcessError, match="exited with 1 and sent nothing"):
+            child.result()  # a lambda does not pickle, so the child sends nothing
+    with cli._fork(lambda: None, lambda prepared, message: message) as child:
+        with pytest.raises(EOFError):
+            child.result()  # no message was sent
+    with cli._fork(lambda: os._exit(3), lambda prepared, message: message) as child:
+        os.waitid(os.P_PID, forks[-1], os.WEXITED | os.WNOWAIT)  # exited, not yet reaped
+        child.send(1)
+        with pytest.raises(ChildProcessError, match="exited with 3 and sent nothing"):
+            child.result()
+    assert len(forks) == 4
+
+
 def _files(directory):
     return {p.relative_to(directory): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
 
@@ -694,6 +713,33 @@ _SPLIT_CASES = {
     # the first event after the cut ties the last before it, and goes on
     # from the wrong task: a consistency violation, not a parse error
     "tie-at-cut": (_line(100) + _line(200), _line(200, "Task schedule: old 1 new 0") + _line(400)),
+    "irq-open-at-cut": (
+        _line(100, "Task schedule: old 0 new 1") + _line(200, "IRQ begin: 3"),
+        _line(300, "IRQ end: 3") + _line(400, "Task schedule: old 1 new 0"),
+    ),
+    "irq-nested-in-itself-at-cut": (
+        _line(100, "Task schedule: old 0 new 1") + _line(200, "IRQ begin: 3") + _line(250, "IRQ begin: 3"),
+        _line(300, "IRQ end: 3") + _line(350, "IRQ end: 3") + _line(400, "Task schedule: old 1 new 0"),
+    ),
+    # the end of IRQ 4 is dropped, so IRQ 3 stays open across the cut
+    "mismatched-end-before-cut": (
+        _line(100, "Task schedule: old 0 new 1") + _line(200, "IRQ begin: 3") + _line(250, "IRQ end: 4"),
+        _line(300, "IRQ end: 3") + _line(400, "Task schedule: old 1 new 0"),
+    ),
+    # the first switch, after the cut, names the task that ran from the start
+    "first-half-no-switch": (
+        _line(100, "IRQ begin: 3") + _line(150, "IRQ end: 3") + _line(200, "IRQ begin: 4"),
+        _line(250, "IRQ end: 4") + _line(300, "Task schedule: old 5 new 1") + _line(400, "Task schedule: old 1 new 5"),
+    ),
+    # a parse error anywhere comes before the first consistency error
+    "wrong-old-then-junk": (
+        _line(100, "Task schedule: old 0 new 1") + _line(200, "Task schedule: old 7 new 2"),
+        "junk\n" + _line(300, "Task schedule: old 2 new 0"),
+    ),
+    "orphan-end-after-cut": (
+        _line(100, "Task schedule: old 0 new 1") + _line(200, "Task schedule: old 1 new 1"),
+        _line(300, "IRQ end: 9") + _line(400, "Task schedule: old 1 new 0"),
+    ),
 }
 
 
@@ -714,6 +760,12 @@ def test_split_parse_gives_the_one_process_outcome(case, tmp_path, monkeypatch, 
         "crlf-at-cut": [0, 0, 0, 0],
         "no-final-lf": [0, 0, 0, 0],
         "tie-at-cut": [2, 0, 2, 2],
+        "irq-open-at-cut": [0, 0, 0, 0],
+        "irq-nested-in-itself-at-cut": [0, 0, 0, 0],
+        "mismatched-end-before-cut": [2, 0, 2, 2],
+        "first-half-no-switch": [0, 0, 0, 0],
+        "wrong-old-then-junk": [1, 0, 1, 2],
+        "orphan-end-after-cut": [2, 0, 2, 2],
     }[case]
 
 

@@ -7,33 +7,41 @@ from array import array
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
 
 from schedtrace import (
     ConsistencyError,
+    EmptyTraceError,
     Entity,
     EventLog,
     ExecutionSlice,
     IrqBegin,
     IrqEnd,
+    ParseError,
     Run,
+    SliceSet,
     TaskSchedule,
     ViolationKind,
     build_slices,
     generate_trace,
     parse_trace,
     random_scenario,
+    timeline,
     validate_consistency,
 )
-from schedtrace.model import IRQ_BEGIN, IRQ_END, SCHEDULE, entity_of
+from schedtrace.model import IRQ_BEGIN, IRQ_END, SCHEDULE, EntityKind, entity_of
+from schedtrace.replay import _check, _first_task, _replay, replay_halves
 from tests.conftest import (
     SHORT_END,
     SHORT_NETS,
     SHORT_SPAN,
     SHORT_START,
+    damaged_traces,
     gate_shaped_trace,
+    in_process,
     unique_id_trace,
 )
-from tests.oracles import charge_by_microsecond
+from tests.oracles import charge_by_microsecond, task_states_by_microsecond
 
 
 def test_window_is_first_to_last_event(short_slices):
@@ -377,3 +385,63 @@ def test_matches_per_microsecond_oracle_on_random_scenarios():
         text, _ = generate_trace(random_scenario(seed, n_runs=12, max_gross_us=200))
         log = parse_trace(text)
         assert build_slices(log).net_times() == charge_by_microsecond(log.events)
+
+
+@settings(max_examples=200, deadline=None)
+@given(damaged_traces())
+def test_the_code_pass_finds_what_the_lenient_replay_finds(text):
+    log = parse_trace(text)
+    assert validate_consistency(log) == build_slices(log, strict=False).diagnostics
+    # the same violations and the same entities open after every event
+    task, start = _first_task(log), log.at[0]
+    for k in range(len(log.at) + 1):
+        head = EventLog(*(column[:k] for column in (log.at, log.kind, log.a, log.b)))
+        codes = [task]
+        violations = _check(head, codes)
+        part = _replay(head, False, [(task, start, 0)], start, False)
+        assert violations == part.violations
+        assert codes == [code for code, _, _ in part.stack]
+
+
+def _outcome(load, *args):
+    """(parse diagnostics, SliceSet or violations), or the error's type and text."""
+    try:
+        return load(*args)
+    except (ParseError, EmptyTraceError, ConsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+def _one_process(text, strict, slices):
+    log = parse_trace(text, strict)
+    return log.diagnostics, build_slices(log, strict) if slices else validate_consistency(log)
+
+
+@settings(max_examples=150, deadline=None)
+@given(damaged_traces(junk=True))
+def test_two_halves_cut_at_any_line_find_what_one_process_finds(text):
+    cuts = [0, *(i + 1 for i, c in enumerate(text) if c == "\n")]
+    for strict in (True, False):
+        for slices in (True, False):
+            whole = _outcome(_one_process, text, strict, slices)
+            for cut in cuts:
+                halves = _outcome(replay_halves, lambda: text, strict, slices, in_process, cut)
+                assert halves == whole
+                if isinstance(whole[1], SliceSet):  # field by field, the order of the maps too
+                    assert list(halves[1].runs) == list(whole[1].runs)
+                    assert list(halves[1].schedule_ins) == list(whole[1].schedule_ins)
+
+
+@settings(max_examples=150, deadline=None)
+@given(damaged_traces())
+def test_lenient_replay_matches_the_microsecond_oracle_on_damaged_traces(text):
+    log = parse_trace(text)
+    s = build_slices(log, strict=False)
+    # an entity that ran only beneath nested handlers nets 0 us: the oracle never sees it
+    assert {e: net for e, net in s.net_times().items() if net} == charge_by_microsecond(log.events)
+    if s.window.duration_us:
+        tasks = {
+            e.entity.id: [state for state, a, b in e.segments for _ in range(a, b)]
+            for e in timeline(s).entities
+            if e.entity.kind is EntityKind.TASK
+        }
+        assert tasks == task_states_by_microsecond(log.events)

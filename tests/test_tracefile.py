@@ -23,9 +23,10 @@ from schedtrace import (
     random_scenario,
     render_event,
     render_trace,
+    validate_consistency,
 )
-from schedtrace.tracefile import parse_halves
-from tests.conftest import SHORT_TRACE, unique_id_trace
+from schedtrace.replay import replay_halves
+from tests.conftest import SHORT_TRACE, in_process, unique_id_trace
 from tests.oracles import parse_by_line
 
 
@@ -293,21 +294,34 @@ def _columns(source, strict):
     return log.events, log.diagnostics
 
 
-def _halves(source, strict):
-    # both halves in this process, the second one first, as a forked child may
+def _halves(source, strict, cut):
+    """The outcome of validating `source` in two halves cut at `cut`, both in
+    this process, the second half's parse first, as a forked child may."""
     text = source.decode("utf-8-sig", "surrogateescape") if isinstance(source, bytes) else source
-    log = parse_halves(text, strict, lambda first, second: tuple(reversed((second(), first()))))
-    return log.events, log.diagnostics
+    try:
+        diagnostics, violations = replay_halves(lambda: text, strict, False, in_process, cut)
+    except ParseError as exc:
+        return "ParseError", exc.line, exc.kind, exc.message
+    except EmptyTraceError:
+        return "EmptyTraceError"
+    return violations, diagnostics
 
 
 def _same_as_oracle(source):
     """The lenient outcome, after checking both modes against parse_by_line,
-    whole and, for text and bytes, in two halves."""
+    whole and, for text and bytes, in two halves cut at every line: the
+    halves find one parse's diagnostics or first error, and the violations
+    of its events."""
     for strict in (True, False):
         want = _outcome(parse_by_line, source, strict)
         assert _outcome(_columns, source, strict) == want
         if isinstance(source, (str, bytes)):
-            assert _outcome(_halves, source, strict) == want
+            halves = want
+            if isinstance(want[0], list):
+                halves = validate_consistency(parse_trace(source, strict=strict)), want[1]
+            text = source.decode("utf-8-sig", "surrogateescape") if isinstance(source, bytes) else source
+            for cut in (0, *(i + 1 for i, c in enumerate(text) if c == "\n")):
+                assert _halves(source, strict, cut) == halves
     return want
 
 
