@@ -10,6 +10,7 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
+from itertools import chain
 from types import SimpleNamespace
 
 from .errors import ConsistencyError, TraceError
@@ -21,6 +22,7 @@ from .reports import (
     MAX_SLOTS,
     REPORT_TYPES,
     TEXT,
+    _chunks,
     average_load,
     clip_view,
     task_statistics,
@@ -175,9 +177,11 @@ def _compute(name: str, sliceset, ns, zoom):
 def _warn(diagnostics, violations=(), trace=None):
     """Warn on stderr of each dropped line and each repaired event of `trace`."""
     head = "warning: " if trace is None else f"warning: {trace}: "
-    lines = [f"{head}line {d.line}: {d.kind.value}: {d.message}\n" for d in diagnostics]
-    lines += [f"{head}at {v.at} us: {v.kind.value}: {v.detail}\n" for v in violations]
-    sys.stderr.write("".join(lines))
+    lines = chain(
+        (f"{head}line {d.line}: {d.kind.value}: {d.message}" for d in diagnostics),
+        (f"{head}at {v.at} us: {v.kind.value}: {v.detail}" for v in violations),
+    )
+    sys.stderr.writelines(_chunks(lines))  # a few thousand lines at a time, as a report
 
 
 def _may_fork() -> bool:

@@ -11,9 +11,10 @@ truncated to what the trace shows.
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
+from collections import defaultdict, deque
 from enum import Enum
-from typing import NamedTuple
+from itertools import islice
+from typing import Iterator, NamedTuple
 
 from .errors import ConsistencyError, EmptyTraceError
 from .model import (
@@ -116,7 +117,7 @@ def build_slices(log: EventLog, strict: bool = True) -> SliceSet:
 
 
 def _slice_set(window: Window, part: _Part) -> SliceSet:
-    ordered = dict(sorted(part.runs.items()))  # plain dicts, so a missing id raises KeyError
+    ordered = {code: part.runs[code] for code in sorted(part.runs)}  # plain: a missing id raises
     entities = list(map(entity_of, ordered))
     owners, bounds, _, schedule_ins, violations, _ = part
     return SliceSet(window, owners, bounds, ordered, schedule_ins, entities, violations)
@@ -231,40 +232,36 @@ def validate_consistency(log: EventLog) -> list[ConsistencyViolation]:
     if not log.at:
         return []
     _check_ids(log)
-    stack = [_first_task(log)]
-    return _check(log, stack) + _open_at_end(stack, log.at[-1])
+    return [*_check(log, [_first_task(log)], log.at[-1])]
 
 
-def _check(log: EventLog, stack: list[int]) -> list[ConsistencyViolation]:
-    """The violations of `log` checked from `stack`, the codes of the task and
-    the open handlers, innermost last, which it leaves holding those open
-    after the last event.  build_slices' rules and repairs, in a loop of
-    their own: held equal to it by the tests."""
-    violations: list[ConsistencyViolation] = []
+def _check(log: EventLog, stack: list[int], end: int | None = None) -> Iterator[ConsistencyViolation]:
+    """Yield the violations of `log` checked from `stack`, the codes of the
+    task and the open handlers, innermost last, as they are found: a strict
+    caller stops at the first, as build_slices does.  Run to its end, it
+    leaves `stack` holding those open after the last event; if the trace
+    ends at `end`, each handler still open is then a violation there,
+    innermost first.  build_slices' rules and repairs, in a loop of their
+    own: held equal to it by the tests."""
     task = stack[0]
     handlers = [code - IRQ_CODE for code in stack[1:]]  # ids, innermost last
     for at, kind, a, b in zip(log.at, log.kind, log.a, log.b):
         if kind == SCHEDULE:
             if a != task:
-                violations.append(_violation(at, ViolationKind.OLD_TASK_MISMATCH, a, task))
+                yield _violation(at, ViolationKind.OLD_TASK_MISMATCH, a, task)
             task = b
         elif kind == IRQ_END:
             if not handlers:
-                violations.append(_violation(at, ViolationKind.IRQ_END_WITHOUT_BEGIN, a))
+                yield _violation(at, ViolationKind.IRQ_END_WITHOUT_BEGIN, a)
             elif handlers[-1] != a:
-                violations.append(_violation(at, ViolationKind.IRQ_END_ID_MISMATCH, a, handlers[-1]))
+                yield _violation(at, ViolationKind.IRQ_END_ID_MISMATCH, a, handlers[-1])
             else:
                 handlers.pop()
         else:
             handlers.append(a)
     stack[:] = [task, *(irq + IRQ_CODE for irq in handlers)]
-    return violations
-
-
-def _open_at_end(stack: list[int], end: int) -> list[ConsistencyViolation]:
-    """A violation at `end` for each handler of `stack` still open, innermost first."""
-    kind = ViolationKind.IRQ_OPEN_AT_TRACE_END
-    return [_violation(end, kind, code - IRQ_CODE) for code in reversed(stack[1:])]
+    for irq in reversed(handlers if end is not None else ()):
+        yield _violation(end, ViolationKind.IRQ_OPEN_AT_TRACE_END, irq)
 
 
 def replay_halves(read, strict: bool, slices: bool, spawn, cut: int | None = None):
@@ -286,13 +283,15 @@ def replay_halves(read, strict: bool, slices: bool, spawn, cut: int | None = Non
     The first half is parsed here while prepare parses the second.  A pass on
     entity codes alone checks the first half and finds the task and handlers
     open at its end; their codes and its last timestamp are the message.
-    When strict slices already fail on the first half, no codes are sent and
-    the second half is only parsed, for a parse error that would come first.
-    finish parses its half again from that timestamp if its first event is
-    earlier, then checks it or replays it from those codes, with the start
-    and net of each run open at the cut unknown.  Meanwhile this process
-    replays the first half.  It joins the halves' slices, runs and
-    schedule-ins.
+    Each half keeps one process's rule: validate lists every violation, and
+    strict slices stop at the first.  When they stop in the first half, no
+    codes are sent and the second half is only parsed, for a parse error
+    that would come first.  finish parses its half again from that timestamp
+    if its first event is earlier, then checks it or replays it from those
+    codes, with the start and net of each run open at the cut unknown; a
+    strict replay raises its half's first violation, the trace's first.
+    Meanwhile this process replays the first half.  It joins the halves'
+    slices, runs and schedule-ins.
     """
     text = read()
     if cut is None:
@@ -321,11 +320,9 @@ def replay_halves(read, strict: bool, slices: bool, spawn, cut: int | None = Non
             codes[0] = _first_task(log)
         task = codes[0]
         if not slices:
-            violations = _check(log, codes)
-            violations += _open_at_end(codes, log.at[-1] if log.at else cursor)
-            return span.diagnostics, task, violations
+            return span.diagnostics, task, [*_check(log, codes, log.at[-1] if log.at else cursor)]
         start = cursor if carry is None else _SPANNING
-        return span.diagnostics, task, _replay(log, False, [(c, start, 0) for c in codes], cursor, True)
+        return span.diagnostics, task, _replay(log, strict, [(c, start, 0) for c in codes], cursor, True)
 
     with spawn(prepare, finish) as second:
         head = parse_span(text, 0, cut, strict)
@@ -337,19 +334,22 @@ def replay_halves(read, strict: bool, slices: bool, spawn, cut: int | None = Non
         if log.at:
             task = _first_task(log, _UNKNOWN)
             codes = [task]
-            violations = _check(log, codes)
-            carry = (None if slices and strict and violations else codes, log.at[-1])
+            found = _check(log, codes)
+            if slices and not strict:  # only the codes at the cut: the replay lists the violations
+                deque(found, 0)
+            violations = [*islice(found, 1 if slices else None)]  # strict slices stop at the first
+            carry = (None if slices and violations else codes, log.at[-1])
         second.send(carry)
-        if slices and log.at and not (strict and violations):
-            part = _replay(log, False, [(task, log.at[0], 0)], log.at[0], False)
+        if slices and log.at and not violations:
+            part = _replay(log, strict, [(task, log.at[0], 0)], log.at[0], False)
         window_start = log.at[0] if log.at else None
         del log
         diagnostics, named, tail = second.result()
     diagnostics = head.diagnostics + diagnostics
     if not slices:
         return diagnostics, violations + tail
-    if strict and (violations or tail.violations):
-        raise ConsistencyError((violations or tail.violations)[0])
+    if violations:
+        raise ConsistencyError(violations[0])
     if part is None:  # the first half held no event
         return diagnostics, _slice_set(Window(tail.bounds[0], tail.bounds[-1]), tail)
     return diagnostics, _slice_set(Window(window_start, tail.bounds[-1]), _join(part, tail, named))

@@ -1,7 +1,9 @@
 """Shared fixtures: a small hand-checked trace and its derived facts."""
 
 from contextlib import contextmanager
+from itertools import chain, repeat
 from types import SimpleNamespace
+from typing import Iterator
 
 import pytest
 from hypothesis import strategies as st
@@ -75,6 +77,17 @@ def unique_id_trace(n: int) -> str:
     return "".join(
         f"<{format_timestamp(i * 7)}> Task schedule: old {i} new {i + 1}\n" for i in range(n)
     )
+
+
+def orphan_end_lines(n: int, orphans_first: bool = False) -> Iterator[str]:
+    """The lines of n events, 7 us apart, one at a time: n // 2 switches among
+    tasks 1 to 8, then as many `IRQ end: 5` lines with no handler open, or,
+    with `orphans_first`, the ends first.  A strict replay fails at the first
+    end; a lenient one drops each with a violation."""
+    switches = (f"Task schedule: old {1 + i % 8} new {1 + (i + 1) % 8}" for i in range(n // 2))
+    ends = repeat("IRQ end: 5", n - n // 2)
+    payloads = chain(ends, switches) if orphans_first else chain(switches, ends)
+    return (f"<{format_timestamp(i * 7)}> {p}\n" for i, p in enumerate(payloads))
 
 
 def script_run(task, gross, irqs) -> list[str]:

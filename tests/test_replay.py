@@ -39,6 +39,7 @@ from tests.conftest import (
     damaged_traces,
     gate_shaped_trace,
     in_process,
+    orphan_end_lines,
     unique_id_trace,
 )
 from tests.oracles import charge_by_microsecond, task_states_by_microsecond
@@ -130,6 +131,25 @@ def test_build_slices_peaks_at_a_few_words_per_event(trace, per_event):
         tracemalloc.stop()
     assert len(s.slices) == n - 1  # a slice between each two events
     assert peak <= per_event * n, f"{peak / n:.0f} B per event"
+
+
+# A strict replay stops at the first violation in one process and in each
+# half of a split trace: neither half lists, keeps or sends back the 10,000
+# orphan ends after it
+@pytest.mark.parametrize("orphans_first", [False, True], ids=["second-half", "first-half"])
+def test_strict_halves_stop_at_the_first_violation_as_one_process(orphans_first):
+    text = "".join(orphan_end_lines(20_000, orphans_first))
+    with pytest.raises(ConsistencyError) as whole:
+        build_slices(parse_trace(text))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConsistencyError) as halves:
+            replay_halves(lambda: text, True, True, in_process)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(halves.value) == str(whole.value)
+    assert peak <= 110 * 20_000, f"{peak / 20_000:.0f} B per event"
 
 
 # A code is a task's id, or an IRQ's id plus 2**60: ids outside [0, 2**60)
@@ -397,7 +417,7 @@ def test_the_code_pass_finds_what_the_lenient_replay_finds(text):
     for k in range(len(log.at) + 1):
         head = EventLog(*(column[:k] for column in (log.at, log.kind, log.a, log.b)))
         codes = [task]
-        violations = _check(head, codes)
+        violations = [*_check(head, codes)]
         part = _replay(head, False, [(task, start, 0)], start, False)
         assert violations == part.violations
         assert codes == [code for code, _, _ in part.stack]
