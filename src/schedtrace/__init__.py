@@ -70,7 +70,6 @@ from .stats import (
     fit_exponential,
     fit_uniform,
     histogram,
-    ks_statistic,
     summarize,
 )
 from .synthgen import (
@@ -82,7 +81,6 @@ from .synthgen import (
     manifest_csv,
     parse_script,
     random_scenario,
-    render_script,
 )
 from .tracefile import (
     DiagnosticKind,

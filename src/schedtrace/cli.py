@@ -174,14 +174,13 @@ def _compute(name: str, sliceset, ns, zoom):
     return timeline(sliceset, zoom)
 
 
-def _warn(diagnostics, violations=(), trace=None):
-    """Warn on stderr of each dropped line and each repaired event of `trace`."""
-    head = "warning: " if trace is None else f"warning: {trace}: "
+def _records(stream, head, diagnostics=(), violations=()):
+    """Write to `stream` a line, `head` first, for each dropped line and each violation."""
     lines = chain(
         (f"{head}line {d.line}: {d.kind.value}: {d.message}" for d in diagnostics),
         (f"{head}at {v.at} us: {v.kind.value}: {v.detail}" for v in violations),
     )
-    sys.stderr.writelines(_chunks(lines))  # a few thousand lines at a time, as a report
+    stream.writelines(_chunks(lines))  # a few thousand lines at a time, as a report
 
 
 def _may_fork() -> bool:
@@ -354,7 +353,8 @@ def _cmd_analyze(ns) -> int:
         stems[stem] = path
     for path in ns.traces:
         diagnostics, sliceset = _load(path, not ns.lenient, slices=True)
-        _warn(diagnostics, sliceset.diagnostics, path if multi else None)
+        head = f"warning: {path}: " if multi else "warning: "
+        _records(sys.stderr, head, diagnostics, sliceset.diagnostics)
         zoom = _zoom(reports, sliceset, ns)
         directory = os.path.join(ns.output_dir, _stem(path)) if multi else ns.output_dir
         timeline_name = f"timeline.{_EXTENSIONS[ns.format]}"
@@ -412,9 +412,8 @@ def _cmd_generate(ns) -> int:
 
 def _cmd_validate(ns) -> int:
     diagnostics, violations = _load(ns.trace, not ns.lenient, slices=False)
-    _warn(diagnostics)
-    for violation in violations:
-        print(f"at {violation.at} us: {violation.kind.value}: {violation.detail}")
+    _records(sys.stderr, "warning: ", diagnostics)
+    _records(sys.stdout, "", violations=violations)
     if violations:
         return EXIT_CONSISTENCY
     print("no consistency violations")

@@ -148,10 +148,6 @@ class ExecutionSlice(NamedTuple):
     start: int
     end: int
 
-    @property
-    def duration_us(self) -> int:
-        return self.end - self.start
-
 
 class Run(NamedTuple):
     """One contiguous scheduled run of a task, or one IRQ invocation.

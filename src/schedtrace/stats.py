@@ -7,7 +7,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import accumulate, chain, repeat
 from operator import floordiv, mul, sub, truediv
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import EmptySampleError, SampleDomainError
 
@@ -100,24 +100,14 @@ def _histogram(tally: _Tally, bins: int) -> Histogram:
     return Histogram(edges, counts)
 
 
-def ks_statistic(samples: Sequence, cdf: Callable[[float], float]) -> float:
-    """One-sample Kolmogorov-Smirnov distance between samples and a model CDF.
-
-    Supremum over the sorted samples of the gap between the empirical CDF
-    (evaluated just before and at each sample) and the model CDF.  Equal
-    samples share one model value m, and |k/n - m| over the ranks k of a run
-    of ties is largest at the run's first or last rank (k/n - m is monotone
-    in k, also in floating point), so the model is evaluated once per
-    distinct sample value.
-    """
-    tally = _tally(samples)
-    if tally.n == 0:
-        raise EmptySampleError("cannot compute a KS statistic on zero samples")
-    return _ks(tally, list(map(cdf, tally.values)))
-
-
 def _ks(tally: _Tally, model: list) -> float:
-    """ks_statistic of a tally, given the model CDF at each distinct value."""
+    """Kolmogorov-Smirnov distance between a tally and a model CDF, given
+    the model at each distinct value: the supremum of the gap between the
+    empirical CDF, just before and at each sample, and the model.  Over a
+    run of ties sharing model value m, |k/n - m| is largest at the run's
+    first or last rank (k/n - m is monotone in k, also in floating point),
+    so one model value per distinct sample suffices.
+    """
     n = tally.n
     after = list(accumulate(tally.ties))  # the rank at each value's last tie
     below = map(sub, map(truediv, chain((0,), after), repeat(n)), model)

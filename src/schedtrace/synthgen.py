@@ -50,16 +50,21 @@ ID_LIMIT = 10**18  # task and IRQ ids in the trace format have at most 18 digits
 
 
 def _nest(run: ScenarioRun, line: int | None = None) -> tuple[list[tuple], int]:
-    """Check a run's interrupts and lay them out in trace order.
+    """Check a run and lay its interrupts out in trace order.
 
-    Any two interrupts must be disjoint or nested (LIFO order); interrupts
-    must fit inside the run, and their ids lie in [0, 10**18).  Specs with
-    identical spans nest in listing order; ScriptError at `line` otherwise.
-    Returns the (offset_us, irq, net_us) of each begin and end in the order
-    the trace holds them, net_us None at a begin and at an end the handler's
+    The task id lies in [0, 10**18) and the run takes time.  Any two
+    interrupts must be disjoint or nested (LIFO order); interrupts must fit
+    inside the run, and their ids lie in [0, 10**18).  Specs with identical
+    spans nest in listing order; ScriptError at `line` otherwise.  Returns
+    the (offset_us, irq, net_us) of each begin and end in the order the
+    trace holds them, net_us None at a begin and at an end the handler's
     length minus its direct children's, and the time of the run's top-level
     interrupts.
     """
+    if not 0 <= run.task < ID_LIMIT:
+        raise ScriptError("task id must lie in [0, 10**18)", line)
+    if run.gross_us < 1:
+        raise ScriptError("a run must advance time", line)
     for spec in run.irqs:
         if not 0 <= spec.irq < ID_LIMIT:
             raise ScriptError("irq id must lie in [0, 10**18)", line)
@@ -97,10 +102,10 @@ def _nest(run: ScenarioRun, line: int | None = None) -> tuple[list[tuple], int]:
 
 
 def _check_run(task: int, gross: int, specs: list[IrqSpec], lines: list[int]) -> ScenarioRun:
-    """The run, once its interrupts pass _nest; else the ScriptError of the
-    first irq line at which its interrupts so far fail."""
+    """The run, once it passes _nest; else the ScriptError of the first of
+    `lines`, the run's line and then each irq line, at which it fails."""
 
-    def fails(k: int) -> bool:  # whether the first k interrupts fail
+    def fails(k: int) -> bool:  # whether the run with its first k interrupts fails
         try:
             _nest(ScenarioRun(task, gross, tuple(specs[:k])))
         except ScriptError:
@@ -110,8 +115,8 @@ def _check_run(task: int, gross: int, specs: list[IrqSpec], lines: list[int]) ->
     if fails(len(specs)):
         from bisect import bisect_left  # here, so that only a failing script loads it
 
-        k = bisect_left(range(len(specs)), True, key=fails)  # a failing prefix fails when extended
-        _nest(ScenarioRun(task, gross, tuple(specs[:k])), lines[k - 1])
+        k = bisect_left(range(len(lines)), True, key=fails)  # a failing prefix fails when extended
+        _nest(ScenarioRun(task, gross, tuple(specs[:k])), lines[k])
     return ScenarioRun(task, gross, tuple(specs))
 
 
@@ -123,7 +128,7 @@ def parse_script(text: str) -> Scenario:
     run.  `#` starts a comment; blank lines are ignored.  Ids lie in
     [0, 10**18).
     """
-    runs: list[tuple] = []  # task, gross, the specs and the line of each spec of every run
+    runs: list[tuple] = []  # task, gross, specs, and the lines of the run and of its specs
     for lineno, raw in enumerate(text.split("\n"), 1):  # only LF ends a line, as in traces
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -137,11 +142,7 @@ def parse_script(text: str) -> Scenario:
                     task, gross = int(parts[1]), int(parts[2])
                 except ValueError:
                     raise ScriptError("run fields must be integers", lineno) from None
-                if not 0 <= task < ID_LIMIT:
-                    raise ScriptError("task id must lie in [0, 10**18)", lineno)
-                if gross < 1:
-                    raise ScriptError("a run must advance time", lineno)
-                runs.append((task, gross, [], []))
+                runs.append((task, gross, [], [lineno]))
             elif parts[0] == "irq":
                 if not runs:
                     raise ScriptError("irq line before any run", lineno)
@@ -151,31 +152,18 @@ def parse_script(text: str) -> Scenario:
                     irq, offset, length = (int(p) for p in parts[1:])
                 except ValueError:
                     raise ScriptError("irq fields must be integers", lineno) from None
-                if not 0 <= irq < ID_LIMIT:
-                    raise ScriptError("irq id must lie in [0, 10**18)", lineno)
                 specs, lines = runs[-1][2:]
                 specs.append(IrqSpec(irq, offset, length))
                 lines.append(lineno)
             else:
                 raise ScriptError(f"unknown directive {parts[0]!r}", lineno)
         except ScriptError:
-            for run in runs:  # the error of an earlier irq line comes first
+            for run in runs:  # the error of an earlier run or irq line comes first
                 _check_run(*run)
             raise
     if not runs:
         raise ScriptError("script defines no runs")
     return Scenario(0, tuple(_check_run(*run) for run in runs))
-
-
-def render_script(scenario: Scenario) -> str:
-    """Serialize a scenario back to script form (start time is not scripted)."""
-    lines = []
-    for run in scenario.runs:
-        lines.append(f"run {run.task} {run.gross_us}")
-        for spec in run.irqs:
-            lines.append(f"  irq {spec.irq} {spec.offset_us} {spec.length_us}")
-    lines.append("")
-    return "\n".join(lines)
 
 
 def generate_trace(
@@ -205,10 +193,6 @@ def generate_trace(
     t = scenario.start_us
     prev = prior_task
     for run in scenario.runs:
-        if run.gross_us < 1:
-            raise ScriptError("a run must advance time")
-        if not 0 <= run.task < ID_LIMIT:
-            raise ScriptError("task id must lie in [0, 10**18)")
         walk, interrupted = _nest(run)
         events.append(TaskSchedule(t, prev, run.task))
         schedule_ins.setdefault(run.task, []).append(t)

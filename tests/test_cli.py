@@ -27,11 +27,13 @@ from schedtrace import (
     task_statistics,
     timeline,
     utilization,
+    validate_consistency,
 )
 from schedtrace import cli
 from schedtrace.cli import run
 from schedtrace.model import MAX_TIMESTAMP_US, EntityKind
-from tests.conftest import SHORT_TRACE, gate_shaped_trace, script_run, unique_id_trace
+from schedtrace.stats import MAX_BINS
+from tests.conftest import SHORT_TRACE, gate_shaped_trace, orphan_end_lines, script_run, unique_id_trace
 
 
 @pytest.fixture()
@@ -683,8 +685,9 @@ def _split_commands(path, out, fmt="text"):
     return [analyze, [*analyze, "--lenient"], validate, [*validate, "--lenient"]]
 
 
-def _same_outcome_as_one_process(args, capsys, monkeypatch, out, forks, stdin=None):
-    """Run `args` with and without fork; assert the same outcome, and that the parse forked."""
+def _same_outcome_as_one_process(args, capsys, monkeypatch, out, forks, stdin=None, parse_forks=True):
+    """Run `args` with and without fork; assert the same outcome, and, if
+    `parse_forks`, that the run with fork forked."""
     outcomes = []
     for fork in (True, False):
         with monkeypatch.context() as m:
@@ -694,7 +697,7 @@ def _same_outcome_as_one_process(args, capsys, monkeypatch, out, forks, stdin=No
                 m.delattr(os, "fork")
             forked = len(forks)
             outcomes.append(_outcome(args, capsys, out))
-            assert (len(forks) > forked) == fork
+            assert (len(forks) > forked) == fork or not parse_forks
     assert outcomes[0] == outcomes[1]
     return outcomes[0]
 
@@ -842,6 +845,73 @@ def test_split_cli_gives_the_one_process_outcome_under_byte_edits(tmp_path, monk
     out = tmp_path / "out"
     for args in _split_commands(str(path), out, fmt):
         code, _, err, _ = _same_outcome_as_one_process(args, capsys, monkeypatch, out, split)
+        assert code in (0, 1, 2, 3) and "Traceback" not in err
+
+
+_VALID_LINES = _VALID.splitlines(True)
+_TRACE_BYTES = st.one_of(
+    st.binary(max_size=400),
+    st.lists(
+        st.tuples(st.integers(0, len(_VALID)), st.binary(max_size=8), st.integers(0, 3)), max_size=4
+    ).map(lambda edits: _edited(_VALID, edits)),
+    # some lines of the valid trace, in order or not, among junk and blank ones
+    st.lists(st.sampled_from(_VALID_LINES), max_size=30).map(sorted).map(b"".join),
+    st.lists(st.sampled_from([*_VALID_LINES, b"junk\n", b"\xff\n", b"\r\n"]), max_size=30).map(b"".join),
+)
+_SCRIPT_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.tuples(
+        st.lists(
+            st.builds(
+                script_run,
+                st.sampled_from([0, 1, 2, 10**18 - 1]),
+                st.integers(1, 40),
+                st.lists(st.tuples(st.integers(0, 3), st.integers(0, 39), st.integers(0, 39)), max_size=3),
+            ),
+            min_size=1,
+            max_size=4,
+        ).map(lambda blocks: "\n".join(line for block in blocks for line in block).encode()),
+        st.lists(st.tuples(st.integers(0, 10**4), st.binary(max_size=4), st.integers(0, 2)), max_size=2),
+    ).map(lambda drawn: _edited(*drawn)),
+)
+_US = st.sampled_from([None, None, None, -5, 0, 7, 25, 60, 10**12])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    source=st.tuples(st.just("trace"), _TRACE_BYTES) | st.tuples(st.just("script"), _SCRIPT_BYTES),
+    reports=st.lists(st.sampled_from(["load", "utilization", "stats", "timeline", None]), min_size=1, max_size=4),
+    from_us=_US,
+    to_us=_US,
+    slot_width_us=st.sampled_from([None, None, 1, 3, 10, 100_000, 10**12, 0]),
+    bins=st.sampled_from([None, None, 1, 2, 7, 20, 60, 0, MAX_BINS + 1]),
+    to_files=st.booleans(),
+)
+def test_cli_on_any_input_exits_cleanly_and_splits_as_one_process(
+    tmp_path, monkeypatch, capsys, split, source, reports, from_us, to_us, slot_width_us, bins, to_files
+):
+    # any trace bytes, or the trace that generate makes of any script bytes,
+    # through every command and format, with drawn options
+    kind, data = source
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    if kind == "script":
+        generated = tmp_path / "generated"
+        code, _, err, _ = _outcome(["generate", str(path), "-o", str(generated)], capsys, generated)
+        assert code in (0, 1) and "Traceback" not in err
+        if code:
+            return
+        path = generated / "trace.txt"
+    options = [arg for name in filter(None, reports) for arg in ("--report", name)]
+    for flag, value in (("--from-us", from_us), ("--to-us", to_us), ("--slot-width-us", slot_width_us), ("--bins", bins)):
+        options += [] if value is None else [flag, str(value)]
+    out = tmp_path / "out"
+    commands = [["validate", str(path)], ["validate", str(path), "--lenient"]]
+    for fmt in ("text", "csv", "json"):
+        analyze = ["analyze", str(path), *options, "--format", fmt, *(["-o", str(out)] if to_files else [])]
+        commands += [analyze, [*analyze, "--lenient"]]
+    for args in commands:
+        code, _, err, _ = _same_outcome_as_one_process(args, capsys, monkeypatch, out, split, parse_forks=False)
         assert code in (0, 1, 2, 3) and "Traceback" not in err
 
 
@@ -1021,6 +1091,27 @@ def test_validate_lists_violations(tmp_path, capsys):
     assert run(["validate", str(p)]) == 2
     out = capsys.readouterr().out
     assert "at 20 us: irq_end_without_begin" in out
+
+
+def test_validate_writes_its_violations_a_few_thousand_lines_at_a_time(tmp_path, monkeypatch):
+    text = "".join(orphan_end_lines(10_000))  # 5,000 ends with no handler open, below _SPLIT_CHARS
+    path = tmp_path / "orphans.txt"
+    path.write_text(text)
+    violations = validate_consistency(parse_trace(text))
+    assert len(violations) == 5_000
+
+    class Counted(io.StringIO):
+        writes = 0
+
+        def write(self, s):
+            self.writes += 1
+            return super().write(s)
+
+    stdout = Counted()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run(["validate", str(path)]) == 2
+    assert stdout.getvalue() == "".join(f"at {v.at} us: {v.kind.value}: {v.detail}\n" for v in violations)
+    assert stdout.writes == -(-5_000 // 2_048)
 
 
 def test_validate_lenient_reports_parse_warnings(tmp_path, capsys):

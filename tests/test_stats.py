@@ -13,7 +13,6 @@ from schedtrace import (
     fit_exponential,
     fit_uniform,
     histogram,
-    ks_statistic,
     summarize,
 )
 from schedtrace.stats import MAX_BINS
@@ -112,27 +111,28 @@ def test_fit_uniform_degenerate_has_zero_distance():
 
 
 def test_ks_statistic_and_uniform_fit_reject_zero_samples():
-    with pytest.raises(EmptySampleError):
-        ks_statistic([], lambda x: x)
-    with pytest.raises(EmptySampleError):
-        fit_uniform([])
+    for fit in (fit_exponential, fit_uniform):
+        with pytest.raises(EmptySampleError):
+            fit([])
 
 
 def test_ks_statistic_hand_case():
-    # uniform cdf on [0, 4]: the largest gap is at the first sample's left side
-    d = ks_statistic([1, 2, 3, 4], lambda x: x / 4)
-    assert d == pytest.approx(0.25)
+    # uniform on [1, 4]: the gap is 1/4 just after 1 and just before 4.
+    # exponential of rate 4 / 10: the largest gap is just before 1, where the
+    # empirical cdf is 0 and the model 1 - exp(-0.4)
+    assert fit_uniform([1, 2, 3, 4]).ks == pytest.approx(0.25)
+    assert fit_exponential([1, 2, 3, 4]).ks == pytest.approx(1 - math.exp(-0.4))
 
 
 def test_ks_statistic_unsorted_input():
-    d = ks_statistic([4, 1, 3, 2], lambda x: x / 4)
-    assert d == pytest.approx(0.25)
+    assert fit_uniform([4, 1, 3, 2]).ks == pytest.approx(0.25)
+    assert fit_exponential([4, 1, 3, 2]).ks == pytest.approx(1 - math.exp(-0.4))
 
 
 @given(st.lists(st.floats(0.001, 1e6), min_size=1, max_size=100))
 def test_ks_statistic_bounded(samples):
-    d = ks_statistic(samples, lambda x: 1 - math.exp(-0.01 * x))
-    assert 0.0 <= d <= 1.0
+    for fit in (fit_exponential, fit_uniform):
+        assert 0.0 <= fit(samples).ks <= 1.0
 
 
 @given(
@@ -140,19 +140,15 @@ def test_ks_statistic_bounded(samples):
     | st.lists(st.integers(0, 10**6), min_size=1, max_size=60).map(lambda x: x * 7)
 )
 def test_ks_statistic_matches_per_sample_loop_on_ties(samples):
-    # the fits' own model CDFs; the ks distance must be the very same float
+    # the fits' own model CDFs, evaluated at every sample: the very same float
     if min(samples) > 0:
         rate = len(samples) / sum(samples)
         exp_cdf = lambda x: 1.0 - math.exp(-rate * x)
-        expected = ks_statistic_per_sample(samples, exp_cdf)
-        assert ks_statistic(samples, exp_cdf) == expected
-        assert fit_exponential(samples).ks == expected
+        assert fit_exponential(samples).ks == ks_statistic_per_sample(samples, exp_cdf)
     lower, upper = min(samples), max(samples)
     if lower < upper:
         uni_cdf = lambda x: (x - lower) / (upper - lower)
-        expected = ks_statistic_per_sample(samples, uni_cdf)
-        assert ks_statistic(samples, uni_cdf) == expected
-        assert fit_uniform(samples).ks == expected
+        assert fit_uniform(samples).ks == ks_statistic_per_sample(samples, uni_cdf)
 
 
 def test_exponential_fit_close_on_true_exponential_data():

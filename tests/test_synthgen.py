@@ -19,7 +19,6 @@ from schedtrace import (
     parse_script,
     parse_trace,
     random_scenario,
-    render_script,
 )
 from tests.conftest import script_run
 from tests.oracles import parse_script_by_line
@@ -42,14 +41,6 @@ def test_parse_script():
             ScenarioRun(7, 100, (IrqSpec(16, 20, 30), IrqSpec(9, 25, 10))),
         ),
     )
-
-
-def test_render_script_round_trip():
-    sc = parse_script(SCRIPT)
-    assert parse_script(render_script(sc)) == sc
-    for seed in range(10):
-        rand = random_scenario(seed)
-        assert parse_script(render_script(rand)) == Scenario(0, rand.runs)
 
 
 @pytest.mark.parametrize(
