@@ -87,8 +87,6 @@ from .tracefile import (
     ParseDiagnostic,
     parse_trace,
     parse_trace_file,
-    render_event,
-    render_trace,
 )
 
 __version__ = "0.1.0"

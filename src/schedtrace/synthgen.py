@@ -12,8 +12,7 @@ import random
 from typing import NamedTuple
 
 from .errors import ScriptError
-from .model import Entity, IrqBegin, IrqEnd, TaskSchedule, TraceEvent
-from .tracefile import render_trace
+from .model import Entity, format_timestamp
 
 
 class IrqSpec(NamedTuple):
@@ -169,7 +168,7 @@ def parse_script(text: str) -> Scenario:
 def generate_trace(
     scenario: Scenario, prior_task: int = 0, final_task: int = 0
 ) -> tuple[str, Manifest]:
-    """Emit canonical trace text for a scenario plus its expected accounting.
+    """Write a scenario's trace in canonical form, plus its expected accounting.
 
     The first event switches from `prior_task` to the first run's task; a
     terminal switch to `final_task` closes the last run.  Expected net times
@@ -181,40 +180,38 @@ def generate_trace(
     for name, task in (("prior_task", prior_task), ("final_task", final_task)):
         if not 0 <= task < ID_LIMIT:
             raise ValueError(f"{name} must lie in [0, 10**18)")
-    events: list[TraceEvent] = []
-    net_us: dict[Entity, int] = {}
+    lines: list[str] = []
     dispatch: dict[Entity, list[int]] = {}
     schedule_ins: dict[int, list[int]] = {}
 
-    def charge(entity: Entity, net: int):
-        net_us[entity] = net_us.get(entity, 0) + net
-        dispatch.setdefault(entity, []).append(net)
+    def switch(new: int):  # from prev to new at t
+        lines.append(f"<{format_timestamp(t)}> Task schedule: old {prev} new {new}")
+        schedule_ins.setdefault(new, []).append(t)
 
     t = scenario.start_us
     prev = prior_task
     for run in scenario.runs:
         walk, interrupted = _nest(run)
-        events.append(TaskSchedule(t, prev, run.task))
-        schedule_ins.setdefault(run.task, []).append(t)
+        switch(run.task)
         for offset, irq, net in walk:
             if net is None:
-                events.append(IrqBegin(t + offset, irq))
+                lines.append(f"<{format_timestamp(t + offset)}> IRQ begin: {irq}")
             else:
-                events.append(IrqEnd(t + offset, irq))
-                charge(Entity.irq(irq), net)
-        charge(Entity.task(run.task), run.gross_us - interrupted)
+                lines.append(f"<{format_timestamp(t + offset)}> IRQ end: {irq}")
+                dispatch.setdefault(Entity.irq(irq), []).append(net)
+        dispatch.setdefault(Entity.task(run.task), []).append(run.gross_us - interrupted)
         t += run.gross_us
         prev = run.task
-    events.append(TaskSchedule(t, prev, final_task))
-    schedule_ins.setdefault(final_task, []).append(t)
+    switch(final_task)
 
     periods = {
         task: [b - a for a, b in zip(ins, ins[1:])]
         for task, ins in schedule_ins.items()
         if len(ins) >= 2
     }
-    manifest = Manifest(t - scenario.start_us, net_us, dispatch, periods)
-    return render_trace(events), manifest
+    net_us = {entity: sum(nets) for entity, nets in dispatch.items()}
+    lines.append("")  # so the text ends with an LF
+    return "\n".join(lines), Manifest(t - scenario.start_us, net_us, dispatch, periods)
 
 
 def manifest_csv(manifest: Manifest) -> str:

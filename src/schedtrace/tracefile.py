@@ -1,4 +1,4 @@
-"""Reader and writer for the text trace format.
+"""Reader of the text trace format.
 
 One event per line::
 
@@ -7,8 +7,7 @@ One event per line::
     <0000h 00m 01s 290 861> IRQ end: 16
 
 Reading is tolerant: any run of spaces/tabs between tokens, 1 to 18 ASCII
-digits per number, LF or CRLF.  Writing is canonical: zero-padded fields,
-single spaces, LF line endings.
+digits per number, LF or CRLF.  Bad lines are diagnosed by kind.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import re
 import sys
 from array import array
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import EmptyTraceError, ParseError, TimestampRangeError
 from .model import (
@@ -25,11 +24,6 @@ from .model import (
     IRQ_END,
     SCHEDULE,
     EventLog,
-    IrqBegin,
-    IrqEnd,
-    TaskSchedule,
-    TraceEvent,
-    format_timestamp,
     timestamp_from_fields,
 )
 
@@ -222,22 +216,3 @@ def parse_trace_file(path: str, strict: bool = True) -> EventLog:
     """Parse a trace from a file path, or from stdin when path is '-'."""
     return parse_trace(read_text(path), strict=strict)
 
-
-def render_event(event: TraceEvent) -> str:
-    """Render one event as a canonical trace line (no newline)."""
-    ts = format_timestamp(event.at)
-    kind = type(event)
-    if kind is TaskSchedule:
-        return f"<{ts}> Task schedule: old {event.old} new {event.new}"
-    if kind is IrqBegin:
-        return f"<{ts}> IRQ begin: {event.irq}"
-    if kind is IrqEnd:
-        return f"<{ts}> IRQ end: {event.irq}"
-    raise TypeError(f"not a trace event: {event!r}")
-
-
-def render_trace(events: Iterable[TraceEvent]) -> str:
-    """Render events as canonical trace text, one line each, LF-terminated."""
-    lines = [render_event(ev) for ev in events]
-    lines.append("")
-    return "\n".join(lines)

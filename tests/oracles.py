@@ -84,6 +84,32 @@ def parse_by_line(source, strict=True):
     return events, diagnostics
 
 
+def canonical_line(event) -> str:
+    """The canonical trace line of an event tuple, without its LF.
+
+    The reference for what generate_trace writes, as README's trace format
+    shows it: a zero-padded clock of hours (4 digits), minutes, seconds,
+    milliseconds and microseconds, single spaces, and plain decimal ids.
+    """
+    ms, us = divmod(event.at, 1000)
+    s, ms = divmod(ms, 1000)
+    m, s = divmod(s, 60)
+    h, m = divmod(m, 60)
+    assert 0 <= h < 10_000, f"{event.at} us is past the format's 4-digit hour"
+    clock = f"<{h:04d}h {m:02d}m {s:02d}s {ms:03d} {us:03d}>"
+    if type(event) is TaskSchedule:
+        return f"{clock} Task schedule: old {event.old} new {event.new}"
+    if type(event) is IrqBegin:
+        return f"{clock} IRQ begin: {event.irq}"
+    assert type(event) is IrqEnd, f"not a trace event: {event!r}"
+    return f"{clock} IRQ end: {event.irq}"
+
+
+def canonical_text(events) -> str:
+    """The canonical trace text of events: each one's line, LF-terminated."""
+    return "".join(canonical_line(ev) + "\n" for ev in events)
+
+
 def _state_by_microsecond(events):
     """Yield (t, task, innermost open handler or None) for each microsecond t
     of [first, last).

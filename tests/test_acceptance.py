@@ -5,6 +5,7 @@ an ordinary assertion.  The corpus fixtures are shared so the thousand
 random scenarios are generated and analyzed once.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -29,13 +30,12 @@ from schedtrace import (
     parse_trace,
     random_scenario,
     render,
-    render_event,
     task_statistics,
     utilization,
 )
 from schedtrace.cli import run
 from tests.conftest import SHORT_TRACE
-from tests.oracles import charge_by_microsecond, charge_slots_by_microsecond
+from tests.oracles import canonical_line, charge_by_microsecond, charge_slots_by_microsecond
 
 
 def _ok(name: str) -> None:
@@ -226,9 +226,11 @@ def test_parser_round_trip_random_events():
             ev = IrqBegin(at, rng.randrange(10_000))
         else:
             ev = IrqEnd(at, rng.randrange(10_000))
-        line = render_event(ev)
-        assert render_event(parse_trace(line).events[0]) == line
-    _ok("render/parse round trip on 10000 events")
+        line = canonical_line(ev)
+        parsed = parse_trace(line).events[0]
+        assert (type(parsed), parsed) == (type(ev), ev)
+        assert canonical_line(parsed) == line
+    _ok("canonical line/parse round trip on 10000 events")
 
 
 def test_stats_report_exposes_summary_field_set(short_slices):
@@ -265,6 +267,10 @@ def test_throughput_million_events(tmp_path):
     scenario = _million_event_scenario()
     text, _ = generate_trace(scenario)
     assert text.count("\n") == 1_000_000
+    # the writer's bytes are pinned: any change to them shows here
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "664ab0b1af64fb7a64949b352ed88d86fca20228b73b0bb68f2e89bda60643b0"
+    )
     trace_path = tmp_path / "big.txt"
     trace_path.write_text(text)
     out_dir = tmp_path / "reports"

@@ -1,5 +1,6 @@
 """Scenario scripts, trace generation, and the analytic manifest."""
 
+import hashlib
 import time
 from collections import Counter
 
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 from schedtrace import (
     Entity,
     IrqSpec,
+    MAX_TIMESTAMP_US,
     Scenario,
     ScenarioRun,
     ScriptError,
+    TimestampRangeError,
     build_slices,
     generate_trace,
     manifest_csv,
@@ -21,7 +24,7 @@ from schedtrace import (
     random_scenario,
 )
 from tests.conftest import script_run
-from tests.oracles import parse_script_by_line
+from tests.oracles import canonical_text, parse_script_by_line
 
 SCRIPT = """\
 # two tasks, one handler nested in the second run
@@ -238,6 +241,25 @@ def test_random_scenario_is_seed_deterministic():
     text_a, _ = generate_trace(random_scenario(42))
     text_b, _ = generate_trace(random_scenario(42))
     assert text_a == text_b
+
+
+def test_generate_trace_writes_the_pinned_bytes_of_a_thousand_scenarios():
+    digest = hashlib.sha256()
+    for seed in range(1000):
+        text, manifest = generate_trace(random_scenario(seed))
+        digest.update(text.encode())
+        digest.update(manifest_csv(manifest).encode())
+        if seed < 100:
+            assert canonical_text(parse_trace(text).events) == text
+    assert digest.hexdigest() == "7092f44f560280045020e48cb074d1d6a70e6360169aafc45705fc3d01114fe8"
+
+
+def test_generate_trace_checks_each_run_before_writing_its_switch():
+    late = MAX_TIMESTAMP_US - 4  # the first run ends past the format's last timestamp
+    with pytest.raises(ScriptError):
+        generate_trace(Scenario(MAX_TIMESTAMP_US + 1, (ScenarioRun(1, 0),)))
+    with pytest.raises(TimestampRangeError):
+        generate_trace(Scenario(late, (ScenarioRun(1, 10), ScenarioRun(2, 10), ScenarioRun(3, 0))))
 
 
 def test_random_scenario_respects_knobs():
