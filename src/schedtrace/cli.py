@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from itertools import chain
 from types import SimpleNamespace
 
@@ -26,7 +26,6 @@ from .reports import (
     average_load,
     clip_view,
     task_statistics,
-    timeline,
     utilization,
     write_report,
     write_stats_histograms_csv,
@@ -169,9 +168,7 @@ def _compute(name: str, sliceset, ns, zoom):
         return average_load(sliceset)
     if name == "utilization":
         return utilization(sliceset, ns.slot_width_us, zoom)
-    if name == "stats":
-        return task_statistics(sliceset, ns.bins)
-    return timeline(sliceset, zoom)
+    return task_statistics(sliceset, ns.bins)
 
 
 def _records(stream, head, diagnostics=(), violations=()):
@@ -357,24 +354,25 @@ def _cmd_analyze(ns) -> int:
         _records(sys.stderr, head, diagnostics, sliceset.diagnostics)
         zoom = _zoom(reports, sliceset, ns)
         directory = os.path.join(ns.output_dir, _stem(path)) if multi else ns.output_dir
-        timeline_name = f"timeline.{_EXTENSIONS[ns.format]}"
+        extension = _EXTENSIONS[ns.format]
 
-        def emit(name, part=None):  # one report or timeline part, released when written
-            if part is not None:  # the IRQ part goes to a file of its own
-                filename = timeline_name if part is EntityKind.TASK else timeline_name + ".part"
-                with _open(directory, filename) as handle:
-                    write_timeline_part(sliceset, zoom, part, ns.format, handle)
-                return
-            report = _compute(name, sliceset, ns, zoom)
-            if directory:
-                with _open(directory, f"{name}.{_EXTENSIONS[ns.format]}") as handle:
-                    write_report(report, ns.format, handle)
-                if name == "stats" and ns.format == CSV:
-                    with _open(directory, "stats_histograms.csv") as handle:
-                        write_stats_histograms_csv(report, handle)
+        def emit(name, part=None):  # one report, or the timeline's `part`, released when written
+            report = None if name == "timeline" else _compute(name, sliceset, ns, zoom)
+            if directory:  # the timeline's IRQ part alone goes to a file of its own
+                suffix = ".part" if part is EntityKind.IRQ else ""
+                target = _open(directory, f"{name}.{extension}{suffix}")
             else:  # stdout takes one trace only
                 sys.stdout.write("" if name == reports[0] else "\n")  # a blank line parts documents
-                write_report(report, ns.format, sys.stdout)
+                target = nullcontext(sys.stdout)
+            with target as handle:
+                if report is not None:
+                    write_report(report, ns.format, handle)
+                else:  # the task part and then the IRQ part are the whole timeline
+                    for kind in (EntityKind.TASK, EntityKind.IRQ) if part is None else (part,):
+                        write_timeline_part(sliceset, zoom, kind, ns.format, handle)
+            if name == "stats" and ns.format == CSV and directory:
+                with _open(directory, "stats_histograms.csv") as handle:
+                    write_stats_histograms_csv(report, handle)
 
         # reports to files may be written by two processes at once, each
         # taking about half of the work of a full run
@@ -384,7 +382,7 @@ def _cmd_analyze(ns) -> int:
             timeline_path = None
             if "timeline" in reports:
                 jobs += [("timeline", EntityKind.TASK), ("timeline", EntityKind.IRQ)]
-                timeline_path = os.path.join(directory, timeline_name)
+                timeline_path = os.path.join(directory, f"timeline.{extension}")
             _emit_split(jobs, emit, timeline_path)
         else:
             for name in reports:
@@ -422,29 +420,17 @@ def _cmd_validate(ns) -> int:
 
 def run(argv=None) -> int:
     """Entry point returning an exit code instead of raising SystemExit."""
-    parser = _build_parser()
+    commands = {"analyze": _cmd_analyze, "generate": _cmd_generate, "validate": _cmd_validate}
     try:
-        ns = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        ns = _build_parser().parse_args(argv)
+        return commands[ns.command](ns)
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
-    try:
-        if ns.command == "analyze":
-            return _cmd_analyze(ns)
-        if ns.command == "generate":
-            return _cmd_generate(ns)
-        return _cmd_validate(ns)
-    except _UsageError as exc:
+    except (_UsageError, TraceError, OSError) as exc:  # script errors are trace errors too
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONSISTENCY
-    except (TraceError, OSError) as exc:  # script errors are trace errors too
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRACE_ERROR
+        if isinstance(exc, _UsageError):
+            return EXIT_USAGE
+        return EXIT_CONSISTENCY if isinstance(exc, ConsistencyError) else EXIT_TRACE_ERROR
 
 
 def main():

@@ -27,7 +27,7 @@ from .model import (
     Window,
     entity_of,
 )
-from .tracefile import parse_span
+from .tracefile import ParseDiagnostic, parse_span
 
 
 class ViolationKind(Enum):
@@ -309,8 +309,10 @@ def replay_halves(read, strict: bool, slices: bool, spawn, cut: int | None = Non
             span = parse_span(whole, cut, end, strict, cursor, line)
         if span.error is not None:
             raise span.error
+        # records go back as plain tuples, which pickle in C, not through NamedTuple's __new__
+        diagnostics = [*map(tuple, span.diagnostics)]
         if codes is None:  # the first half failed strict replay: only this parse counts
-            return span.diagnostics, None, None
+            return diagnostics, None, None
         log = EventLog(*span.columns)
         if carry is None:  # the first half held no event: replay from the start
             if not log.at:
@@ -320,9 +322,11 @@ def replay_halves(read, strict: bool, slices: bool, spawn, cut: int | None = Non
             codes[0] = _first_task(log)
         task = codes[0]
         if not slices:
-            return span.diagnostics, task, [*_check(log, codes, log.at[-1] if log.at else cursor)]
+            return diagnostics, task, [*map(tuple, _check(log, codes, log.at[-1] if log.at else cursor))]
         start = cursor if carry is None else _SPANNING
-        return span.diagnostics, task, _replay(log, strict, [(c, start, 0) for c in codes], cursor, True)
+        part = _replay(log, strict, [(c, start, 0) for c in codes], cursor, True)
+        part.violations[:] = map(tuple, part.violations)
+        return diagnostics, task, part
 
     with spawn(prepare, finish) as second:
         head = parse_span(text, 0, cut, strict)
@@ -345,11 +349,12 @@ def replay_halves(read, strict: bool, slices: bool, spawn, cut: int | None = Non
         window_start = log.at[0] if log.at else None
         del log
         diagnostics, named, tail = second.result()
-    diagnostics = head.diagnostics + diagnostics
+    diagnostics = head.diagnostics + [*map(ParseDiagnostic._make, diagnostics)]
     if not slices:
-        return diagnostics, violations + tail
+        return diagnostics, violations + [*map(ConsistencyViolation._make, tail)]
     if violations:
         raise ConsistencyError(violations[0])
+    tail.violations[:] = map(ConsistencyViolation._make, tail.violations)
     if part is None:  # the first half held no event
         return diagnostics, _slice_set(Window(tail.bounds[0], tail.bounds[-1]), tail)
     return diagnostics, _slice_set(Window(window_start, tail.bounds[-1]), _join(part, tail, named))

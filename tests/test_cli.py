@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -624,6 +625,38 @@ def test_analyze_split_raises_the_error_one_process_hits_first(trace_file, tmp_p
     written = _files(out)
     assert {p.name for p in written} <= {"load.txt", "utilization.txt", "stats.txt"}
     assert written == {p: data for p, data in _files(serial).items() if p in written}
+
+
+# One process writes the timeline kind by kind, as the two halves of a split
+# do: its report stage holds the tracks of one kind at a time, never the
+# whole TimelineReport, which holds both kinds' tracks at once
+def test_analyze_one_process_holds_one_kind_of_timeline_tracks(tmp_path, monkeypatch):
+    trace = tmp_path / "gate.txt"
+    trace.write_text(gate_shaped_trace(10_000))
+    s = build_slices(parse_trace(trace.read_text()))
+    monkeypatch.delattr(os, "fork")
+    zoom, start = cli._zoom, []
+
+    def reports_start(*args):  # the reports start once their view is known
+        tracemalloc.reset_peak()
+        start.append(tracemalloc.get_traced_memory()[0])
+        return zoom(*args)
+
+    monkeypatch.setattr(cli, "_zoom", reports_start)
+    tracemalloc.start()
+    try:
+        needs = []  # what the tracks of each kind take
+        for kind in EntityKind:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            timeline(s, kind=kind)
+            needs.append(tracemalloc.get_traced_memory()[1] - before)
+        del s
+        assert run(["analyze", str(trace), "--report", "timeline", "-o", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start[0]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * max(needs), f"{peak} B, against {needs} B for the tracks of each kind"
 
 
 def test_analyze_forks_only_for_reports_to_files_in_one_thread_on_two_cpus(

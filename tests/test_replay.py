@@ -1,9 +1,11 @@
 """Charge accounting: slices, runs, nesting, recovery from bad traces."""
 
 import gc
+import pickle
 import re
 import tracemalloc
 from array import array
+from contextlib import contextmanager
 from functools import partial
 
 import pytest
@@ -11,12 +13,14 @@ from hypothesis import given, settings
 
 from schedtrace import (
     ConsistencyError,
+    ConsistencyViolation,
     EmptyTraceError,
     Entity,
     EventLog,
     ExecutionSlice,
     IrqBegin,
     IrqEnd,
+    ParseDiagnostic,
     ParseError,
     Run,
     SliceSet,
@@ -150,6 +154,42 @@ def test_strict_halves_stop_at_the_first_violation_as_one_process(orphans_first)
         tracemalloc.stop()
     assert str(halves.value) == str(whole.value)
     assert peak <= 110 * 20_000, f"{peak / 20_000:.0f} B per event"
+
+
+# The second half's diagnostics and violations cross the pipe as plain
+# tuples: a NamedTuple pickles through its Python-level __getnewargs__ and
+# __new__, which took seconds for 500,000 violations.  This process builds
+# the records again, so the result equals one process's, types included.
+@pytest.mark.parametrize(
+    "strict, slices, junk", [(False, True, True), (False, False, True), (True, False, False)],
+    ids=["lenient-slices", "lenient-validate", "strict-validate"],
+)
+def test_second_half_sends_plain_tuples_through_the_pipe(strict, slices, junk):
+    lines = [*orphan_end_lines(2_000)]  # the orphan ends, and the junk, in the second half
+    if junk:
+        lines[1_500:1_500] = ["junk\n", "<0000h 00m 00s 000 000> IRQ begin: 1\n"]
+    text = "".join(lines)
+    sent = []
+
+    def through_pickle(value):
+        sent.append(pickle.dumps(value))
+        return pickle.loads(sent[-1])
+
+    @contextmanager
+    def pickling(prepare, finish):  # in_process, with the message and the outcome pickled
+        def pickled_finish(prepared, message):
+            return through_pickle(finish(prepared, through_pickle(message)))
+
+        with in_process(prepare, pickled_finish) as second:
+            yield second
+
+    diagnostics, found = replay_halves(lambda: text, strict, slices, pickling)
+    violations = found.diagnostics if slices else found
+    assert (diagnostics, found) == _one_process(text, strict, slices)
+    assert len(sent) == 2 and len(violations) == 1_000 and len(diagnostics) == 2 * junk
+    assert not any(name in data for data in sent for name in (b"ParseDiagnostic", b"ConsistencyViolation"))
+    assert {type(d) for d in diagnostics} <= {ParseDiagnostic}
+    assert {type(v) for v in violations} == {ConsistencyViolation}
 
 
 # A code is a task's id, or an IRQ's id plus 2**60: ids outside [0, 2**60)
